@@ -1,10 +1,8 @@
 // Cancellation-overhead experiments (C-series): the robustness layer's
 // cancel gate is checked at spawn, task-start, and per-chunk boundaries, so
 // these benchmarks pin the uncancelled hot path — the fib and matmul
-// workloads of E6/E11 run through plain Run — to within noise of the seed
-// runtime. `make bench-cancel` records them as BENCH_cancel.json, diffed by
-// cmd/benchjson against the committed seed baseline
-// (bench_seed_baseline.json, measured at the pre-cancellation commit).
+// workloads of E6/E11 run through plain Run. cmd/cilkbench's fib and matmul
+// workloads are the gated form.
 package cilkgo_test
 
 import (

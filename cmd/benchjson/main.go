@@ -1,211 +1,25 @@
-// Benchjson converts `go test -bench` output on stdin into a JSON array on
-// stdout, one object per benchmark result, so benchmark runs can be
-// recorded and diffed across commits (the Makefile's `bench` target pipes
-// into it to produce BENCH_trace.json, and `bench-cancel` into
-// BENCH_cancel.json).
+// Benchjson diffs a cmd/cilkload JSON report on stdin against a committed
+// baseline report and writes the annotated report to stdout (`make
+// bench-serve` pipes into it to produce BENCH_serve.json):
 //
-//	go test -run '^$' -bench . -benchmem ./... | go run ./cmd/benchjson
+//	go run ./cmd/cilkload ... | go run ./cmd/benchjson -serve -baseline bench_serve_baseline.json
 //
-// Repeated samples of the same benchmark (from -count=N) collapse into one
-// entry carrying the minimum ns/op — noise only ever adds time — along with
-// the sample count and the worst observed ns/op.
+// The flat latency series ("tenant@xN" → p50/p95/p99) are matched by name
+// against -baseline (a previous cilkload/benchjson output); each matched
+// series gains baseline_p99_ns and p99_delta_pct, and the exit status is 1
+// when any series' p99 regressed by more than -maxp99 percent (default 10).
+// A missing baseline file passes the report through unchanged, so the first
+// run can mint the committed baseline.
 //
-// With -baseline file.json (a previous benchjson output, e.g. the committed
-// seed measurement), each result whose name matches a baseline entry gains
-// baseline_ns_per_op and overhead_pct = 100·(now−baseline)/baseline, so the
-// recorded JSON carries the cross-commit comparison itself.
-//
-// With -ab "variant=base,..." (interleaved A/B mode), each named variant is
-// diffed against its base *from the same run*: both benchmarks executed in
-// one process, interleaved by go test, on the same machine at the same
-// moment. The variant entry gains ab_base, ab_base_ns_per_op and
-// ab_delta_pct = 100·(variant−base)/base. Unlike -baseline (a committed
-// measurement from some other machine on some other day), an A/B pair
-// cannot go stale: machine-speed drift cancels because both sides moved
-// together. -maxab fails the run (exit 1) when any pair's delta exceeds the
-// budget; the default 0 records deltas without gating.
-//
-// With -gateallocs "name=N,...", the run fails (exit 1) when a named
-// benchmark's allocs/op exceeds N. Requires -benchmem output. Allocation
-// counts are deterministic — unlike ns/op they do not need minima across
-// samples or a noise budget — so the gate is exact.
-//
-// With -serve, stdin is a cmd/cilkload JSON report instead of go test -bench
-// text: the flat latency series ("tenant@xN" → p50/p95/p99) are diffed by
-// name against -baseline (a previous cilkload/benchjson -serve output), each
-// matched series gains baseline_p99_ns and p99_delta_pct, and the exit
-// status is 1 when any series' p99 regressed by more than -maxp99 percent
-// (default 10). A missing baseline file passes the report through unchanged,
-// so the first run can mint the committed baseline.
+// Throughput and overhead numbers come from cmd/cilkbench, not from here.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 )
-
-// result is one parsed benchmark line, e.g.
-//
-//	BenchmarkFib25-8   100  11849193 ns/op  2400 B/op  75 allocs/op
-type result struct {
-	Name        string  `json:"name"`
-	Procs       int     `json:"procs"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
-	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
-	// Set when -count produced repeated samples of this benchmark:
-	// ns_per_op above is the fastest of Samples runs, MaxNsPerOp the slowest.
-	Samples    int     `json:"samples,omitempty"`
-	MaxNsPerOp float64 `json:"max_ns_per_op,omitempty"`
-	// Set only when -baseline matched this benchmark by name.
-	BaselineNsPerOp float64 `json:"baseline_ns_per_op,omitempty"`
-	OverheadPct     float64 `json:"overhead_pct,omitempty"`
-	// Set only when -ab named this benchmark as a variant: the same-run
-	// benchmark it was diffed against and the interleaved delta.
-	ABBase        string  `json:"ab_base,omitempty"`
-	ABBaseNsPerOp float64 `json:"ab_base_ns_per_op,omitempty"`
-	ABDeltaPct    float64 `json:"ab_delta_pct,omitempty"`
-}
-
-// parsePairs parses "key=value,key=value" flag syntax.
-func parsePairs(flagName, s string) (map[string]string, error) {
-	m := map[string]string{}
-	if s == "" {
-		return m, nil
-	}
-	for _, pair := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok || k == "" || v == "" {
-			return nil, fmt.Errorf("-%s: bad pair %q (want name=value)", flagName, pair)
-		}
-		m[k] = v
-	}
-	return m, nil
-}
-
-// applyAB annotates each variant named in pairs (variant → base) with the
-// delta against its base from the same collapsed run. Returns 1 when a pair
-// exceeds maxPct (0 disables the gate), 2 on a missing benchmark.
-func applyAB(results []result, pairs map[string]string, maxPct float64) int {
-	byName := make(map[string]*result, len(results))
-	for i := range results {
-		byName[results[i].Name] = &results[i]
-	}
-	exit := 0
-	for variant, base := range pairs {
-		v, okV := byName[variant]
-		b, okB := byName[base]
-		if !okV || !okB {
-			fmt.Fprintf(os.Stderr, "benchjson: -ab pair %s=%s: benchmark not in input\n", variant, base)
-			exit = 2
-			continue
-		}
-		v.ABBase = base
-		v.ABBaseNsPerOp = b.NsPerOp
-		v.ABDeltaPct = 100 * (v.NsPerOp - b.NsPerOp) / b.NsPerOp
-		if maxPct > 0 && v.ABDeltaPct > maxPct {
-			fmt.Fprintf(os.Stderr, "benchjson: FAIL %s %.0f ns/op vs %s %.0f ns/op (%+.1f%% > %.0f%% budget)\n",
-				variant, v.NsPerOp, base, b.NsPerOp, v.ABDeltaPct, maxPct)
-			if exit == 0 {
-				exit = 1
-			}
-		}
-	}
-	return exit
-}
-
-// applyAllocGates fails benchmarks whose allocs/op exceed their gate.
-// Returns 1 on an exceeded gate, 2 on a missing benchmark or bad gate.
-func applyAllocGates(results []result, gates map[string]string) int {
-	byName := make(map[string]*result, len(results))
-	for i := range results {
-		byName[results[i].Name] = &results[i]
-	}
-	exit := 0
-	for name, limitStr := range gates {
-		limit, err := strconv.ParseInt(limitStr, 10, 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: -gateallocs %s=%s: %v\n", name, limitStr, err)
-			exit = 2
-			continue
-		}
-		r, ok := byName[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: -gateallocs: benchmark %s not in input\n", name)
-			exit = 2
-			continue
-		}
-		if r.AllocsPerOp > limit {
-			fmt.Fprintf(os.Stderr, "benchjson: FAIL %s %d allocs/op (gate: ≤%d)\n", name, r.AllocsPerOp, limit)
-			if exit == 0 {
-				exit = 1
-			}
-		}
-	}
-	return exit
-}
-
-// loadBaseline reads a previous benchjson output into a name → ns/op map.
-func loadBaseline(path string) (map[string]float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var prev []result
-	if err := json.NewDecoder(f).Decode(&prev); err != nil {
-		return nil, err
-	}
-	m := make(map[string]float64, len(prev))
-	for _, r := range prev {
-		m[r.Name] = r.NsPerOp
-	}
-	return m, nil
-}
-
-// collapse merges repeated samples of the same benchmark (go test -count=N)
-// into one entry per name, in first-appearance order, keeping the sample
-// whose ns/op is lowest and recording the spread.
-func collapse(in []result) []result {
-	var order []string
-	best := make(map[string]result, len(in))
-	for _, r := range in {
-		prev, seen := best[r.Name]
-		if !seen {
-			order = append(order, r.Name)
-			r.Samples = 1
-			r.MaxNsPerOp = r.NsPerOp
-			best[r.Name] = r
-			continue
-		}
-		max := prev.MaxNsPerOp
-		if r.NsPerOp > max {
-			max = r.NsPerOp
-		}
-		if r.NsPerOp < prev.NsPerOp {
-			r.Samples, r.MaxNsPerOp = prev.Samples+1, max
-			best[r.Name] = r
-		} else {
-			prev.Samples, prev.MaxNsPerOp = prev.Samples+1, max
-			best[r.Name] = prev
-		}
-	}
-	out := make([]result, 0, len(order))
-	for _, name := range order {
-		r := best[name]
-		if r.Samples == 1 {
-			r.Samples, r.MaxNsPerOp = 0, 0 // omitempty: single samples stay terse
-		}
-		out = append(out, r)
-	}
-	return out
-}
 
 // serveSeries is one latency series of a cilkload report (see
 // cmd/cilkload's series type — field-compatible by construction).
@@ -230,9 +44,9 @@ type serveReport struct {
 	Degrade json.RawMessage `json:"degrade,omitempty"`
 }
 
-// serveMain is the -serve mode: diff a cilkload report's latency percentiles
-// against a baseline report by series name, failing on p99 regressions past
-// maxP99Pct. Returns the exit status.
+// serveMain diffs a cilkload report's latency percentiles against a baseline
+// report by series name, failing on p99 regressions past maxP99Pct. Returns
+// the exit status.
 func serveMain(baselinePath string, maxP99Pct float64) int {
 	var rep serveReport
 	if err := json.NewDecoder(os.Stdin).Decode(&rep); err != nil {
@@ -284,93 +98,9 @@ func serveMain(baselinePath string, maxP99Pct float64) int {
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "", "previous benchjson output to diff against")
-	serveMode := flag.Bool("serve", false, "stdin is a cmd/cilkload JSON report: diff latency percentiles by series name instead of parsing go test -bench text")
-	maxP99 := flag.Float64("maxp99", 10, "with -serve: fail when a series' p99 regressed by more than this percent vs. the baseline")
-	abPairs := flag.String("ab", "", "interleaved A/B pairs 'variant=base,...': diff each variant against its base from this same run")
-	maxAB := flag.Float64("maxab", 0, "with -ab: fail when a variant is slower than its base by more than this percent (0 = record only)")
-	gateAllocs := flag.String("gateallocs", "", "allocation gates 'name=N,...': fail when a benchmark exceeds N allocs/op")
+	baselinePath := flag.String("baseline", "", "previous report to diff against")
+	flag.Bool("serve", true, "accepted and ignored: a cilkload report is the only input format")
+	maxP99 := flag.Float64("maxp99", 10, "fail when a series' p99 regressed by more than this percent vs. the baseline")
 	flag.Parse()
-	if *serveMode {
-		os.Exit(serveMain(*baselinePath, *maxP99))
-	}
-	var baseline map[string]float64
-	if *baselinePath != "" {
-		var err error
-		if baseline, err = loadBaseline(*baselinePath); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-	}
-	var results []result
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		fields := strings.Fields(line)
-		if len(fields) < 3 || !strings.HasPrefix(fields[0], "Benchmark") {
-			continue
-		}
-		r := result{Name: fields[0], Procs: 1}
-		if i := strings.LastIndex(fields[0], "-"); i > 0 {
-			if p, err := strconv.Atoi(fields[0][i+1:]); err == nil {
-				r.Name, r.Procs = fields[0][:i], p
-			}
-		}
-		var err error
-		if r.Iterations, err = strconv.ParseInt(fields[1], 10, 64); err != nil {
-			continue
-		}
-		for i := 2; i+1 < len(fields); i += 2 {
-			v := fields[i]
-			switch fields[i+1] {
-			case "ns/op":
-				r.NsPerOp, _ = strconv.ParseFloat(v, 64)
-			case "B/op":
-				r.BytesPerOp, _ = strconv.ParseInt(v, 10, 64)
-			case "allocs/op":
-				r.AllocsPerOp, _ = strconv.ParseInt(v, 10, 64)
-			}
-		}
-		results = append(results, r)
-	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	results = collapse(results)
-	for i := range results {
-		if base, ok := baseline[results[i].Name]; ok && base > 0 {
-			results[i].BaselineNsPerOp = base
-			results[i].OverheadPct = 100 * (results[i].NsPerOp - base) / base
-		}
-	}
-	exit := 0
-	if *abPairs != "" {
-		pairs, err := parsePairs("ab", *abPairs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(2)
-		}
-		if e := applyAB(results, pairs, *maxAB); e > exit {
-			exit = e
-		}
-	}
-	if *gateAllocs != "" {
-		gates, err := parsePairs("gateallocs", *gateAllocs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(2)
-		}
-		if e := applyAllocGates(results, gates); e > exit {
-			exit = e
-		}
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	os.Exit(exit)
+	os.Exit(serveMain(*baselinePath, *maxP99))
 }

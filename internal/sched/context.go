@@ -90,14 +90,17 @@ func (c *Context) Spawn(fn func(*Context)) {
 		// the continuation (it would corrupt the serial fold order).
 		c.ckey, c.cview = nil, nil
 	}
-	f.pending.Add(1)
+	f.spawned++
 	w := c.w
 	child := w.getFrame(f, f.run, ord, f.depth+1)
 	// spanLocal is zero on unobserved runs, and recycled frames reset the
 	// field, so the store needs no clock gate.
 	child.spawnSpan = c.spanLocal
 	child.t.fn = fn
-	bump(&w.ws.spawns)
+	w.hot.spawns++
+	if w.hot.spawns&(publishEvery-1) == 0 {
+		w.publish()
+	}
 	if s := f.run.stats; s != nil {
 		bump(&s.cells[w.id].spawns)
 	}
@@ -226,9 +229,6 @@ func (c *Context) Sync() {
 		c.foldSpanChildren()
 	}
 	f := c.frame
-	if n := f.pending.Load(); n < 0 && c.rt.sanChecks() {
-		c.rt.sanViolation("sync on frame depth %d observed join counter %d — a child joined twice", f.depth, n)
-	}
 	if f.nextOrdinal > 0 || f.nextLoopSeq > 0 {
 		// Fold only when some hyperobject bookkeeping actually landed this
 		// region — a sealed segment or a deposit. Otherwise the fold is the
@@ -236,7 +236,8 @@ func (c *Context) Sync() {
 		// the serial accumulation) and the whole machinery — redMu, the
 		// segment walk, the piece sort, the view-cache invalidation — is
 		// skipped. The depositedViews read is ordered after every deposit by
-		// the join counter reaching zero above (syncWait's load).
+		// the join that follows it: program order for a child that ran on
+		// this strand, syncWait's load of the join word for any other.
 		if f.sealedViews || f.depositedViews {
 			if c.w != nil {
 				// Sanitizer: stretch the window between the last child
@@ -251,20 +252,19 @@ func (c *Context) Sync() {
 	}
 }
 
-// syncWait blocks until the frame's join counter reaches zero, executing
-// other available tasks while waiting.
+// syncWait blocks until every child and loop unit of the frame has joined,
+// executing other available tasks while waiting, and leaves the frame's join
+// accounting zeroed for its next sync region or pool life. A child popped
+// here runs on this strand and joins with a plain increment (joinChild), so
+// a sync over un-stolen children never touches shared state.
 func (c *Context) syncWait() {
 	f := c.frame
-	if f.pending.Load() == 0 {
-		return
-	}
 	w := c.w
 	backoff := minBackoff
-	// A healthy join counter reaches exactly zero. It can only go negative
-	// through a double-join bug; exiting on <= 0 (instead of != 0) keeps
-	// that failure observable — Sync's gated invariant check reports the
-	// negative counter — rather than an unexplained spin here.
-	for f.pending.Load() > 0 {
+	// Wait while completions are owed, not until the count is exactly zero:
+	// only a double-join bug can take it below, and exiting there keeps that
+	// failure reportable instead of an unexplained spin.
+	for f.outstanding() > 0 {
 		if t := w.deque.PopBottom(); t != nil {
 			w.runTask(t)
 			backoff = minBackoff
@@ -280,6 +280,11 @@ func (c *Context) syncWait() {
 			backoff = maxBackoff
 		}
 	}
+	if n := f.outstanding(); n < 0 && c.rt.sanChecks() {
+		c.rt.sanViolation("sync on frame depth %d of run %d counted %d joins too many (spawned %d, joined inline %d, join word %d) — a task joined twice",
+			f.depth, f.run.id, -n, f.spawned, f.inline, f.join.Load())
+	}
+	f.clearJoin()
 }
 
 // LookupView returns the strand's current view for the hyperobject key, or

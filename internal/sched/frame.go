@@ -35,10 +35,18 @@ type frame struct {
 	parent *frame
 	run    *runState
 
-	// pending counts spawned, un-synced children. It is incremented by the
-	// frame's own strand at Spawn and decremented by each child when its
-	// task completes.
-	pending atomic.Int32
+	// The join accounting of the current sync region. spawned counts the
+	// children Spawn created and inline the ones that then completed on this
+	// frame's own strand (see joinChild); only that strand touches either, so
+	// an un-stolen spawn joins with two plain increments. join is the shared
+	// word: a child completing on another worker subtracts one from it, and
+	// every live range task and running episode of a lazy loop rooted here
+	// holds one unit of it (see loop.go). The frame still waits for
+	// spawned − inline + join completions (outstanding); syncWait zeroes all
+	// three when that reaches zero.
+	spawned int32
+	inline  int32
+	join    atomic.Int32
 
 	// ordinal is this frame's index in its parent's spawn order within the
 	// parent's current sync region.
@@ -58,7 +66,7 @@ type frame struct {
 
 	// childViews[k] holds child k's final folded views. Children deposit
 	// concurrently, so it is guarded by redMu; the fold reads it only
-	// after the join counter reaches zero.
+	// after every child has joined.
 	redMu      sync.Mutex
 	childViews []viewMap
 
@@ -81,7 +89,7 @@ type frame struct {
 	// sealedViews is set by the frame's own strand when Spawn seals a
 	// segment; depositedViews is set under redMu by children and range
 	// pieces depositing views (the parent's unlocked read is ordered by the
-	// join-counter decrement that follows every deposit). While both are
+	// join that follows every deposit). While both are
 	// false at a sync the fold — redMu, segment walk, piece sort — is
 	// skipped entirely, so a run that touches no hyperobjects pays two
 	// boolean tests per sync (work-first: the common case must not fund the
@@ -142,6 +150,24 @@ func (f *frame) depositPiece(seq int32, start int, views viewMap) {
 	f.pieces = append(f.pieces, pieceDeposit{seq: seq, start: start, views: views})
 	f.depositedViews = true
 	f.redMu.Unlock()
+}
+
+// outstanding is the number of children and loop units the frame's next sync
+// still waits for. Only the frame's own strand may call it. The load of join
+// is the acquire half of every off-strand join: what a child wrote before
+// its decrement is visible once the decrement is counted here.
+func (f *frame) outstanding() int32 {
+	return f.spawned - f.inline + f.join.Load()
+}
+
+// clearJoin zeroes the join accounting. The shared word is compared first:
+// its store is a locked instruction, and it is already zero unless a child
+// or loop unit joined from another worker.
+func (f *frame) clearJoin() {
+	f.spawned, f.inline = 0, 0
+	if f.join.Load() != 0 {
+		f.join.Store(0)
+	}
 }
 
 // sealSegment records the strand's current views as the segment preceding
@@ -596,14 +622,22 @@ func initFrame(f *frame) *frame {
 // never the inner viewMaps, which deposits may still alias; see
 // clearViewMaps). The strand's own ctx.views header is dropped rather than
 // reused: depositChildViews hands that backing array to the parent, so it
-// outlives the frame. pending is zero at retirement (the frame joined), but
-// a skipped frame may carry stale bookkeeping, so reset explicitly.
+// outlives the frame. The join fields are zero at retirement — syncWait
+// zeroes them, on the panic path too, and a skipped frame never spawned —
+// and are cleared again for whatever path did not sync; spanChild, the other
+// atomic word, is likewise stored to only when it differs.
 func resetFrame(f *frame) {
 	f.parent, f.run = nil, nil
-	f.pending.Store(0)
+	f.clearJoin()
 	f.ordinal, f.nextOrdinal, f.depth = 0, 0, 0
-	f.sealed = clearViewMaps(f.sealed)
-	f.childViews = clearViewMaps(f.childViews)
+	// foldViews already emptied these unless the frame's last region never
+	// folded; an empty slice is not stored back (a barriered pointer write).
+	if len(f.sealed) != 0 {
+		f.sealed = clearViewMaps(f.sealed)
+	}
+	if len(f.childViews) != 0 {
+		f.childViews = clearViewMaps(f.childViews)
+	}
 	for i := range f.pieces {
 		f.pieces[i] = pieceDeposit{}
 	}
@@ -611,7 +645,9 @@ func resetFrame(f *frame) {
 	f.nextLoopSeq = 0
 	f.sealedViews, f.depositedViews = false, false
 	f.spawnSpan = 0
-	f.spanChild.Store(0)
+	if f.spanChild.Load() != 0 {
+		f.spanChild.Store(0)
+	}
 	if f.t.fn != nil { // already nil'd by runTask on the common path
 		f.t.fn = nil
 	}
@@ -619,7 +655,7 @@ func resetFrame(f *frame) {
 	// the spawn-dense fast path every pointer field is already nil, and the
 	// guard turns six barriered pointer writes into one predicted branch.
 	// ctx.w and ctx.rt are deliberately left stale — every consumer rebinds
-	// them before use (runTask, Call; the shared path nils them in
+	// them before use (bindContext, Call; the shared path nils them in
 	// freeFrameShared, which spawnSerial's w==nil contract relies on). A
 	// pooled frame thus pins its last worker, which lives as long as the
 	// runtime, and the slab pool is GC-cleared, so nothing truly leaks.

@@ -29,9 +29,11 @@ import "cilkgo/internal/schedsan"
 //     O(P · log(n/grain)) pieces instead of Θ(n/grain) tasks.
 //
 // Join and reducer invariants are preserved. Every live range task holds
-// exactly one unit of the loop frame's join counter (a split adds one for
-// the new half before publishing it), so the loop's implicit sync joins
-// exactly the loop's iterations. Each execution episode covers a contiguous
+// exactly one unit of the loop frame's atomic join word (a split adds one for
+// the new half before publishing it; thieves add and release units, so unlike
+// spawned children these never take the strand-local path), so the loop's
+// implicit sync joins exactly the loop's iterations. Each execution episode
+// covers a contiguous
 // ascending run of iterations and deposits its reducer views keyed by the
 // episode's first index — the spawn-order index assigned at split time, not
 // creation time — and the fold sorts deposits by (loop, start index), which
@@ -44,7 +46,7 @@ import "cilkgo/internal/schedsan"
 // every piece joins, the chunk body, and the grain. It is created once per
 // loop and shared (read-only) by all of the loop's range tasks.
 type loopState struct {
-	frame *frame // the loop's frame; pieces join its pending counter
+	frame *frame // the loop's frame; pieces hold units of its join word
 	seq   int32  // the loop's sequence number within frame's sync region
 	grain int
 	// origin is the id of the worker that created the loop (-1 if unknown).
@@ -102,7 +104,7 @@ func (c *Context) LoopRange(lo, hi, grain int, body func(c *Context, lo, hi int)
 		ls.origin = c.w.id
 	}
 	f.nextLoopSeq++
-	f.pending.Add(1)
+	f.join.Add(1)
 	t := newRangeTask(ls, lo, hi)
 	// The calling strand is the loop's first executor: peel inline, on the
 	// loop frame's own context, so the owner's iterations accumulate views
@@ -111,7 +113,7 @@ func (c *Context) LoopRange(lo, hi, grain int, body func(c *Context, lo, hi int)
 	// (a thief, or this worker's later pop) joins it.
 	var held bool
 	if c.w.peel(t, c, &held) {
-		c.rt.sanJoin(f.pending.Add(-1), "an owner-consumed range task", f.run)
+		f.join.Add(-1)
 		freeRangeTask(t)
 	}
 }
@@ -177,7 +179,10 @@ func (w *worker) peel(t *task, ctx *Context, held *bool) bool {
 
 // runChunk executes one grain of a lazy loop's iterations on ctx's strand.
 func (w *worker) runChunk(ctx *Context, ls *loopState, lo, hi int) {
-	bump(&w.ws.chunksPeeled)
+	w.hot.chunksPeeled++
+	if w.hot.chunksPeeled&(publishEvery-1) == 0 {
+		w.publish()
+	}
 	if s := ls.frame.run.stats; s != nil {
 		bump(&s.cells[w.id].chunksPeeled)
 	}
@@ -206,7 +211,7 @@ func (w *worker) splitRange(t *task, victim *worker) {
 		return // injected skipped split (legal: the thief runs the whole range)
 	}
 	mid := t.lo + (t.hi-t.lo)/2
-	ls.frame.pending.Add(1) // the new half is one more piece to join
+	ls.frame.join.Add(1) // the new half is one more piece to join
 	nt := newRangeTask(ls, mid, t.hi)
 	t.hi = mid
 	bump(&w.ws.loopSplits)
@@ -253,12 +258,13 @@ func (w *worker) runPiece(t *task) {
 	rs := lf.run
 	depth := lf.depth + 1
 	if rs.cancelled() {
-		bump(&w.ws.tasksSkipped)
+		w.hot.tasksSkipped++
 		if s := rs.stats; s != nil {
 			bump(&s.cells[w.id].tasksSkipped)
 		}
 		w.rec.TaskSkip(depth, rs.id)
-		w.rt.sanJoin(lf.pending.Add(-1), "a skipped range task", rs)
+		w.publish()
+		lf.join.Add(-1)
 		freeRangeTask(t)
 		return
 	}
@@ -270,12 +276,9 @@ func (w *worker) runPiece(t *task) {
 	// deposit, so the loop never folds while one of its chunks is executing.
 	// (The owner-inline peel in LoopRange needs none: the owning strand calls
 	// the loop's Sync itself, strictly after its peel returns.)
-	lf.pending.Add(1)
-	bump(&w.ws.tasksRun)
-	live := w.ws.liveFrames.Load() + 1
-	w.ws.liveFrames.Store(live)
-	maxOwn(&w.ws.maxLiveFrames, live)
-	maxOwn(&w.ws.maxDepth, int64(depth))
+	lf.join.Add(1)
+	w.hot.tasksRun++
+	w.hot.frameStart(depth)
 	if s := rs.stats; s != nil {
 		cell := &s.cells[w.id]
 		bump(&cell.tasksRun)
@@ -287,8 +290,7 @@ func (w *worker) runPiece(t *task) {
 	w.rec.TaskStart(depth, rs.id)
 
 	pf := w.getFrame(lf, rs, 0, depth)
-	ctx := &pf.ctx
-	ctx.w, ctx.rt = w, w.rt
+	ctx := w.bindContext(pf)
 	cl := rs.clock
 	if cl != nil {
 		ctx.strandStart = w.rt.nanots()
@@ -329,14 +331,17 @@ func (w *worker) runPiece(t *task) {
 	// live-frame decrement must already be visible (see runTask's completion
 	// path for the same ordering).
 	w.recycleFrame(pf)
-	bumpN(&w.ws.liveFrames, -1)
+	w.hot.liveFrames--
 	if s := rs.stats; s != nil {
 		bumpN(&s.cells[w.id].liveFrames, -1)
 	}
+	// A piece's units are released through the shared word wherever it ran,
+	// so its counts are published first, like any off-strand join's.
+	w.publish()
 	if consumed {
-		w.rt.sanJoin(lf.pending.Add(-1), "a consumed range task", rs)
+		lf.join.Add(-1)
 		freeRangeTask(t)
 	}
-	w.rt.sanJoin(lf.pending.Add(-1), "an episode unit", rs) // release the episode unit
+	lf.join.Add(-1) // release the episode unit
 	w.rec.TaskEnd()
 }

@@ -161,7 +161,10 @@ func (c *Context) Refund(bytes int64) { c.Charge(-bytes) }
 // MemLiveBytes estimates the runtime's current live computation memory
 // across all runs: every worker's live frames at frameMemBytes each, plus
 // the net Context.Charge balance. It is a racy gauge — workers update their
-// cells while it sums — suitable for watermark decisions, not invariants.
+// cells while it sums, and a busy worker's frame count trails by up to
+// publishEvery spawns (a run's root frame and every Charge are visible at
+// once) — suitable for watermark decisions, not invariants; exact at
+// quiescence.
 // Always 0 on a serial-elision runtime (no workers).
 func (rt *Runtime) MemLiveBytes() int64 {
 	var n int64

@@ -1,0 +1,277 @@
+package sched
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"cilkgo/internal/schedsan"
+)
+
+// These tests pin the two contracts of paying for sharing at the steal and
+// not at the spawn: worker counters are exact once Ticket.Wait returns and
+// at most publishEvery spawns stale before, and a child that is never stolen
+// joins its parent without touching shared state.
+
+// liveFrameTotal sums the workers' published live-frame gauges.
+func liveFrameTotal(rt *Runtime) int64 {
+	var n int64
+	for _, w := range rt.workers {
+		n += w.ws.liveFrames.Load()
+	}
+	return n
+}
+
+// cancelAndWait cancels the run's context and waits for the (asynchronous)
+// context watcher to raise the run's cancel gate.
+func cancelAndWait(c *Context, cancel context.CancelFunc) {
+	cancel()
+	for !c.Cancelled() {
+		time.Sleep(10 * time.Microsecond)
+	}
+}
+
+func offStrandJoinTotal(rt *Runtime) int64 {
+	var n int64
+	for _, w := range rt.workers {
+		n += w.ws.offStrandJoins.Load()
+	}
+	return n
+}
+
+// endSnapshot is a RunObserver that reads the runtime-wide counters inside
+// RunEnd: on the worker finishing the root, strictly before the Ticket
+// settles — the earliest instant a Wait could return, with no window for a
+// later publish to paper over a missing one.
+type endSnapshot struct {
+	rt        *Runtime
+	stats     Stats
+	live, mem int64
+}
+
+func (*endSnapshot) RunStart(int64, time.Time) {}
+func (e *endSnapshot) RunEnd(RunReport) {
+	e.stats, e.live, e.mem = e.rt.Stats(), liveFrameTotal(e.rt), e.rt.MemLiveBytes()
+}
+
+// TestStatsExactAtWait: by the time a run is reported and its Ticket settles
+// — workers still hunting, nothing shut down — the runtime-wide counters
+// account for every spawn, task, skip and chunk of the run. The run's own
+// Stats are the reference: the per-run cells are counted in place,
+// independently of the worker counters' publication.
+func TestStatsExactAtWait(t *testing.T) {
+	workloads := []struct {
+		name  string
+		loops bool // range pieces count as tasks, so Spawns == tasks only without
+		run   func(c *Context, cancel context.CancelFunc)
+	}{
+		{"fib", false, func(c *Context, _ context.CancelFunc) {
+			var out int64
+			fibYield(c, 13, &out)
+		}},
+		{"wideFlat", false, func(c *Context, _ context.CancelFunc) {
+			for i := 0; i < 3000; i++ {
+				c.Spawn(func(*Context) {})
+			}
+		}},
+		{"nestedLoops", true, func(c *Context, _ context.CancelFunc) {
+			loopRange(c, 0, 64, 2, func(c *Context, l, h int) {
+				for i := l; i < h; i++ {
+					loopRange(c, 0, 64, 4, func(c *Context, l, h int) {
+						c.Spawn(func(*Context) {})
+					})
+				}
+			})
+		}},
+		{"cancelled", false, func(c *Context, cancel context.CancelFunc) {
+			for i := 0; i < 2000; i++ {
+				if i == 1000 {
+					cancelAndWait(c, cancel) // from here on Spawn is a no-op
+				}
+				c.Spawn(func(c *Context) {
+					var out int64
+					fib(c, 5, &out)
+				})
+			}
+		}},
+	}
+	for _, p := range []int{1, 2, 4} {
+		for _, faulted := range []bool{false, true} {
+			end := &endSnapshot{}
+			opts := []Option{WithWorkers(p), WithRunObserver(end)}
+			var log *violationLog
+			if faulted {
+				var so schedsan.Options
+				so, log = sanOpts(schedsan.RandomPlan(int64(40 + p)))
+				opts = append(opts, WithSanitize(so))
+			}
+			rt := New(opts...)
+			end.rt = rt
+			for _, wl := range workloads {
+				t.Run(fmt.Sprintf("%s/P%d/faulted=%v", wl.name, p, faulted), func(t *testing.T) {
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					before := rt.Stats()
+					tk, err := rt.Submit(ctx, func(c *Context) { wl.run(c, cancel) })
+					if err != nil {
+						t.Fatal(err)
+					}
+					werr := tk.Wait()
+					got, live, mem := end.stats.Sub(before), end.live, end.mem
+					if wl.name == "cancelled" {
+						if !errors.Is(werr, ErrCanceled) {
+							t.Fatalf("Wait() = %v, want ErrCanceled", werr)
+						}
+					} else if werr != nil {
+						t.Fatal(werr)
+					}
+					want := tk.Stats()
+					if got.Spawns != want.Spawns || got.TasksRun != want.TasksRun ||
+						got.TasksSkipped != want.TasksSkipped || got.ChunksPeeled != want.ChunksPeeled {
+						t.Errorf("runtime counters at Wait: spawns %d run %d skipped %d chunks %d; the run's own: %d %d %d %d",
+							got.Spawns, got.TasksRun, got.TasksSkipped, got.ChunksPeeled,
+							want.Spawns, want.TasksRun, want.TasksSkipped, want.ChunksPeeled)
+					}
+					if got.Spawns == 0 {
+						t.Error("no spawns counted")
+					}
+					if !wl.loops && got.Spawns != got.TasksRun+got.TasksSkipped {
+						t.Errorf("Spawns %d != TasksRun %d + TasksSkipped %d", got.Spawns, got.TasksRun, got.TasksSkipped)
+					}
+					if live != 0 || mem != 0 {
+						t.Errorf("at Wait: %d live frames, %d live bytes, want 0", live, mem)
+					}
+				})
+			}
+			rt.Shutdown()
+			if log != nil {
+				log.empty(t)
+			}
+		}
+	}
+}
+
+// TestStatsStalenessBound: a worker that never steals, parks or joins
+// off-strand still publishes every publishEvery-th spawn, so a reader sees
+// the count advance while the run executes, not only at its end.
+func TestStatsStalenessBound(t *testing.T) {
+	rt := New(WithWorkers(1))
+	defer rt.Shutdown()
+	const spawns = 5000
+	ready, ack := make(chan struct{}), make(chan struct{})
+	tk, err := rt.Submit(context.Background(), func(c *Context) {
+		for i := 0; i < spawns; i++ {
+			c.Spawn(func(*Context) {})
+			c.Sync()
+		}
+		ready <- struct{}{} // still inside the run: nothing has finished or parked
+		<-ack
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-ready
+	mid := rt.Stats().Spawns
+	close(ack)
+	if mid <= spawns-publishEvery || mid > spawns {
+		t.Errorf("mid-run Stats().Spawns = %d, want within %d of the %d spawned", mid, publishEvery, spawns)
+	}
+	if err := tk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.Stats().Spawns; got != spawns {
+		t.Errorf("Stats().Spawns after Wait = %d, want %d", got, spawns)
+	}
+}
+
+// TestUnstolenSpawnsJoinOnStrand is the direct evidence for the strand-local
+// join: on one worker no child can complete off its parent's strand, so not
+// one join goes through the atomic word; a steal-heavy run does pay for the
+// children that moved.
+func TestUnstolenSpawnsJoinOnStrand(t *testing.T) {
+	one := New(WithWorkers(1))
+	var out int64
+	if err := one.Run(func(c *Context) { fib(c, 18, &out) }); err != nil {
+		t.Fatal(err)
+	}
+	one.Shutdown()
+	if out != fibSerial(18) {
+		t.Fatalf("fib(18) = %d", out)
+	}
+	if n := offStrandJoinTotal(one); n != 0 {
+		t.Errorf("one worker: %d off-strand joins, want 0", n)
+	}
+
+	four := New(WithWorkers(4))
+	if err := four.Run(func(c *Context) { fibYield(c, 16, &out) }); err != nil {
+		t.Fatal(err)
+	}
+	four.Shutdown()
+	if out != fibSerial(16) {
+		t.Fatalf("fib(16) = %d", out)
+	}
+	if s := four.Stats(); s.Steals == 0 {
+		t.Skip("no steals happened; nothing to observe")
+	}
+	if n := offStrandJoinTotal(four); n == 0 {
+		t.Error("four workers with steals: no off-strand joins counted")
+	}
+}
+
+// TestRecycledFrameJoinStateZeroed: a frame whose life ended abnormally — it
+// panicked with children outstanding, or was skipped by cancellation — goes
+// back to the freelist with its join accounting zeroed, and its next life
+// syncs correctly.
+func TestRecycledFrameJoinStateZeroed(t *testing.T) {
+	opts, log := sanOpts(schedsan.Plan{})
+	rt := New(WithWorkers(1), WithSanitize(opts))
+	defer rt.Shutdown()
+
+	checkPool := func(when string) {
+		t.Helper()
+		// The worker is idle and everything it wrote happened before Wait
+		// returned, so its freelist can be read from here.
+		for _, f := range rt.workers[0].frameFree {
+			if f.spawned != 0 || f.inline != 0 || f.join.Load() != 0 {
+				t.Fatalf("%s: pooled frame carries spawned=%d inline=%d join=%d",
+					when, f.spawned, f.inline, f.join.Load())
+			}
+		}
+		var out int64
+		if err := rt.Run(func(c *Context) { fib(c, 12, &out) }); err != nil {
+			t.Fatalf("%s: next run: %v", when, err)
+		}
+		if out != fibSerial(12) {
+			t.Fatalf("%s: next run computed fib(12) = %d", when, out)
+		}
+	}
+
+	err := rt.Run(func(c *Context) {
+		c.Spawn(func(c *Context) {
+			for i := 0; i < 3; i++ {
+				c.Spawn(func(*Context) {})
+			}
+			panic("boom with three children outstanding")
+		})
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Run = %v, want *PanicError", err)
+	}
+	checkPool("after panic with outstanding children")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	err = rt.RunCtx(ctx, func(c *Context) {
+		for i := 0; i < 100; i++ {
+			c.Spawn(func(c *Context) { c.Spawn(func(*Context) {}) })
+		}
+		cancelAndWait(c, cancel) // every queued child is skipped, and still joins
+	})
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("RunCtx = %v, want ErrCanceled", err)
+	}
+	checkPool("after skip-but-join")
+	log.empty(t)
+}

@@ -212,16 +212,6 @@ func (w *worker) recycleFrame(f *frame) {
 	w.putFrame(f)
 }
 
-// sanJoin checks a join-counter decrement result: the counter counts
-// outstanding children, so observing a negative value means some task
-// signalled a join it did not own (a double-join — exactly the failure a
-// claim-arbitration or peel-reclaim bug produces).
-func (rt *Runtime) sanJoin(n int32, what string, rs *runState) {
-	if n < 0 && rt.sanChecks() {
-		rt.sanViolation("join counter went negative (%d) signalling %s of run %d — a task joined twice", n, what, rs.id)
-	}
-}
-
 // sanRunQuiescence checks that a completed run actually quiesced: its live
 // frames drain to zero and every spawned task was either run or skipped.
 // Frames decrement their live counter strictly after the run's finish

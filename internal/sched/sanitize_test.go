@@ -385,29 +385,42 @@ func TestSanInvariantDoubleDeposit(t *testing.T) {
 	}
 }
 
-// TestSanInvariantNegativeJoin seeds the other deliberate violation — a
-// join counter signalled once more than it was raised — and requires the
-// checker to report it instead of hanging or corrupting the pool.
-func TestSanInvariantNegativeJoin(t *testing.T) {
-	opts, log := sanOpts(schedsan.Plan{})
-	rt := New(WithWorkers(2), WithSanitize(opts))
-	defer rt.Shutdown()
-	err := rt.Run(func(c *Context) {
-		// The bug: a spurious extra join signal on a frame with no
-		// outstanding children.
-		c.rt.sanJoin(c.frame.pending.Add(-1), "a forged join", c.frame.run)
-		c.frame.pending.Add(1) // restore so the frame retires cleanly
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestSanInvariantDoubleJoin seeds the other deliberate violation — one join
+// more than the frame spawned, forged once on the strand-local count and once
+// on the shared word — and requires the sync to report it, terminate, and
+// leave the frame's accounting zeroed instead of hanging or corrupting the
+// pool.
+func TestSanInvariantDoubleJoin(t *testing.T) {
+	forge := map[string]func(f *frame){
+		"inline":    func(f *frame) { f.inline++ },
+		"offStrand": func(f *frame) { f.join.Add(-1) },
 	}
-	log.mu.Lock()
-	defer log.mu.Unlock()
-	if len(log.reps) == 0 {
-		t.Fatal("negative join counter not detected")
-	}
-	if !strings.Contains(log.reps[0].Title, "join counter went negative") {
-		t.Fatalf("unexpected violation: %s", log.reps[0].Title)
+	for name, extraJoin := range forge {
+		t.Run(name, func(t *testing.T) {
+			opts, log := sanOpts(schedsan.Plan{})
+			rt := New(WithWorkers(2), WithSanitize(opts))
+			defer rt.Shutdown()
+			err := rt.Run(func(c *Context) {
+				// The bug: a spurious extra join signal on a frame with no
+				// outstanding children.
+				extraJoin(c.frame)
+				c.Sync()
+				if f := c.frame; f.spawned != 0 || f.inline != 0 || f.join.Load() != 0 {
+					t.Errorf("sync left spawned=%d inline=%d join=%d", f.spawned, f.inline, f.join.Load())
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			log.mu.Lock()
+			defer log.mu.Unlock()
+			if len(log.reps) == 0 {
+				t.Fatal("double join not detected")
+			}
+			if !strings.Contains(log.reps[0].Title, "a task joined twice") {
+				t.Fatalf("unexpected violation: %s", log.reps[0].Title)
+			}
+		})
 	}
 }
 

@@ -403,7 +403,10 @@ type worker struct {
 	id    int
 	deque *deque.Deque[task]
 	rng   *rand.Rand
-	ws    workerStats
+	// hot holds the spawn-path counters, private to the worker's goroutine;
+	// ws holds what other goroutines may read (see publish in stats.go).
+	hot hotStats
+	ws  workerStats
 	// rec is the worker's private event recorder; nil unless the runtime
 	// was built with Tracing (all Recorder methods are nil-safe no-ops).
 	rec *trace.Recorder
@@ -592,6 +595,9 @@ const localSweepRetries = 2
 // escalation.
 func (w *worker) stealOnce() *task {
 	rt := w.rt
+	// A worker that goes looking for work has run dry or is waiting on a
+	// stolen child: the steal boundary is where its counts get published.
+	w.publish()
 	if len(rt.workers) <= 1 {
 		return nil
 	}
@@ -755,6 +761,7 @@ func (rt *Runtime) stealableWork() bool {
 // no sleep.
 func (w *worker) park() bool {
 	rt := w.rt
+	w.publish() // a parked (or exiting) worker's published counts are final
 	// Sanitizer: stretch the classic check-then-block window between the
 	// last failed sweep and registration as parked.
 	w.san.Delay(schedsan.PointPark)
@@ -800,7 +807,7 @@ func (w *worker) park() bool {
 
 // runTask executes one task to completion: the spawned function's body plus
 // its implicit sync, then deposits the frame's reducer views with the parent
-// and signals the join counter. Panics are quarantined into the run state
+// and signals the join (joinChild). Panics are quarantined into the run state
 // (cancelling the rest of the run) and the frame's outstanding children are
 // still drained, so a failed computation never leaves orphan tasks running
 // after Run returns. Tasks of a cancelled run are skipped, not executed —
@@ -823,12 +830,14 @@ func (w *worker) runTask(t *task) {
 	}
 	root := f.parent == nil
 	if !root {
-		bump(&w.ws.tasksRun)
+		w.hot.tasksRun++
 	}
-	live := w.ws.liveFrames.Load() + 1
-	w.ws.liveFrames.Store(live)
-	maxOwn(&w.ws.maxLiveFrames, live)
-	maxOwn(&w.ws.maxDepth, int64(f.depth))
+	w.hot.frameStart(f.depth)
+	if root {
+		// A run may sit in its root for as long as it likes without spawning;
+		// the live-memory gauge admission consults must see its frame now.
+		w.publish()
+	}
 	if s := rs.stats; s != nil {
 		cell := &s.cells[w.id]
 		if !root {
@@ -844,8 +853,7 @@ func (w *worker) runTask(t *task) {
 	// The Context is fused into the frame too: running a task allocates
 	// nothing. Only w and rt need (re)binding — the frame link is a
 	// self-link preserved across pool lives, and resetFrame zeroed the rest.
-	ctx := &f.ctx
-	ctx.w, ctx.rt = w, w.rt
+	ctx := w.bindContext(f)
 	cl := rs.clock
 	if cl != nil {
 		ctx.strandStart = w.rt.nanots()
@@ -882,26 +890,58 @@ func (w *worker) runTask(t *task) {
 	// so this strand owns it exclusively and nothing can reach it through
 	// the deque (ring slots no longer retain stale pointers). Recycle it,
 	// with its embedded task and Context, and settle the live gauges BEFORE
-	// signalling the parent's join counter (or finishing the root): the
-	// decrement and the frame's memory refund thereby happen-before the
-	// run's done channel closes, so a run's live-frame and live-byte sums
-	// are exactly zero by the time Ticket.Wait returns.
+	// signalling the parent's join (or finishing the root): the decrement
+	// and the frame's memory refund thereby happen-before the run's done
+	// channel closes, so a run's live-frame and live-byte sums are exactly
+	// zero by the time Ticket.Wait returns.
 	w.recycleFrame(f)
-	bumpN(&w.ws.liveFrames, -1)
+	w.hot.liveFrames--
 	if s := rs.stats; s != nil {
 		bumpN(&s.cells[w.id].liveFrames, -1)
 	}
 	if p != nil {
-		w.rt.sanJoin(p.pending.Add(-1), "a completed child", rs)
+		w.joinChild(p)
 	} else {
 		finalizeViews(views)
+		w.publish()
 		rs.finish()
 	}
 	w.rec.TaskEnd()
 }
 
+// bindContext readies f's embedded Context to run on w. A frame off w's own
+// freelist usually ran here last and is still bound (resetFrame leaves w and
+// rt alone), so the two barriered pointer writes happen only for a frame that
+// came from elsewhere.
+func (w *worker) bindContext(f *frame) *Context {
+	ctx := &f.ctx
+	if ctx.w != w {
+		ctx.w, ctx.rt = w, w.rt
+	}
+	return ctx
+}
+
+// joinChild signals p that one of its children has finished — run or
+// skipped — on worker w. A frame runs on one worker from start to finish
+// (children are stolen, continuations never), so p.ctx.w == w means p's
+// strand is further up this goroutine's own stack, waiting in a sync or
+// still to reach one: the join is a plain increment that strand will read
+// in program order. Any other child — stolen, a batch-steal extra, picked up
+// by an idle worker — pays for the sharing here: it publishes the worker's
+// counts, so that they are visible to whoever observes the join, and
+// decrements the atomic join word.
+func (w *worker) joinChild(p *frame) {
+	if p.ctx.w == w {
+		p.inline++
+		return
+	}
+	w.publish()
+	bump(&w.ws.offStrandJoins)
+	p.join.Add(-1)
+}
+
 // skipFrame abandons a cancelled run's frame without executing its body.
-// The frame still joins: its parent's pending counter is decremented (or,
+// The frame still joins: its parent counts it like a completed child (or,
 // for a root, the run is finished), so syncs observe the same join
 // structure as a completed run — the task merely contributed no work and
 // deposited no views. This is what bounds cancellation latency: every
@@ -909,7 +949,7 @@ func (w *worker) runTask(t *task) {
 // skipped frame never ran, so it has no children of its own).
 func (w *worker) skipFrame(f *frame) {
 	rs := f.run
-	bump(&w.ws.tasksSkipped)
+	w.hot.tasksSkipped++
 	if s := rs.stats; s != nil {
 		bump(&s.cells[w.id].tasksSkipped)
 	}
@@ -920,8 +960,9 @@ func (w *worker) skipFrame(f *frame) {
 	p := f.parent
 	w.recycleFrame(f)
 	if p != nil {
-		w.rt.sanJoin(p.pending.Add(-1), "a skipped child", rs)
+		w.joinChild(p)
 	} else {
+		w.publish()
 		rs.finish()
 	}
 }

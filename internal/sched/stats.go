@@ -7,9 +7,10 @@ import (
 	"time"
 )
 
-// workerStats are per-worker counters. Each is written only by its owning
-// worker goroutine; atomic access lets Stats read consistent snapshots while
-// workers are still probing for work.
+// workerStats are a worker's published counters: atomic cells that Stats,
+// Metrics and the watchdog read from any goroutine. The steal-path counters
+// are bumped in place; the spawn-path ones (the hotStats fields) are only
+// ever written by publish.
 type workerStats struct {
 	spawns             atomic.Int64
 	steals             atomic.Int64
@@ -31,6 +32,10 @@ type workerStats struct {
 	affinityReinjected atomic.Int64
 	poolRefills        atomic.Int64
 	poolSpills         atomic.Int64
+	// offStrandJoins counts children this worker completed off their
+	// parent's strand (see joinChild) — the joins that pay for an atomic.
+	// Not part of Stats; tests read it to show un-stolen spawns pay nothing.
+	offStrandJoins atomic.Int64
 	// memLive is the worker's net Context.Charge balance across all runs,
 	// armed or not — together with liveFrames it feeds the runtime-wide
 	// live-memory gauge (Runtime.MemLiveBytes) the admission watermarks
@@ -39,12 +44,70 @@ type workerStats struct {
 	memLive atomic.Int64
 }
 
-// bump adds 1 to a single-writer atomic counter with a plain load and
-// store. Correct only because every workerStats/runCell field has exactly
-// one writing goroutine (the owning worker, or the serial strand); readers
-// still get tear-free values through the atomics. On the spawn fast path
-// this replaces a LOCK'd read-modify-write per counter with two ordinary
-// memory operations on a line the owner already holds.
+// hotStats are the counters a spawn, a task or a chunk touches: plain fields
+// only the owning worker reads or writes, mirrored into the workerStats
+// cells of the same names by publish. An atomic Store is an XCHG on amd64 —
+// as costly as a LOCK'd add — so counting in the published cells directly
+// made every one of these increments a locked instruction on the spawn path.
+type hotStats struct {
+	spawns        int64
+	tasksRun      int64
+	tasksSkipped  int64
+	chunksPeeled  int64
+	liveFrames    int64
+	maxLiveFrames int64
+	maxDepth      int64
+}
+
+// publishEvery bounds how stale the published counters of a worker that
+// neither steals nor joins off-strand can get: it publishes at every
+// publishEvery-th spawn and chunk.
+const publishEvery = 1024
+
+// publish mirrors the worker's hotStats into its workerStats cells. Called
+// by the worker itself wherever its work becomes visible to another
+// goroutine — before an off-strand join, before a root's finish, before a
+// steal sweep and before parking — and every publishEvery spawns or chunks.
+// So when Ticket.Wait returns the run's counts are exact: by induction over
+// the spawn tree, a task's counts are published either by its own off-strand
+// join or, if it joined on its parent's strand, by whatever publishes the
+// parent's. Cells already current are not stored to, so a hunting worker's
+// repeated publishes are loads only.
+func (w *worker) publish() {
+	h, ws := &w.hot, &w.ws
+	publishTo(&ws.spawns, h.spawns)
+	publishTo(&ws.tasksRun, h.tasksRun)
+	publishTo(&ws.tasksSkipped, h.tasksSkipped)
+	publishTo(&ws.chunksPeeled, h.chunksPeeled)
+	publishTo(&ws.liveFrames, h.liveFrames)
+	publishTo(&ws.maxLiveFrames, h.maxLiveFrames)
+	publishTo(&ws.maxDepth, h.maxDepth)
+}
+
+func publishTo(c *atomic.Int64, v int64) {
+	if c.Load() != v {
+		c.Store(v)
+	}
+}
+
+// frameStart counts a frame going live on this worker at spawn depth depth.
+func (h *hotStats) frameStart(depth int32) {
+	h.liveFrames++
+	if h.liveFrames > h.maxLiveFrames {
+		h.maxLiveFrames = h.liveFrames
+	}
+	if d := int64(depth); d > h.maxDepth {
+		h.maxDepth = d
+	}
+}
+
+// bump adds 1 to a single-writer atomic counter with a load and a store
+// rather than a read-modify-write. Correct only because every
+// workerStats/runCell field has exactly one writing goroutine (the owning
+// worker, or the serial strand); readers still get tear-free values through
+// the atomics. The store is still a locked instruction (XCHG), so bump is
+// for the steal path and the armed per-run cells; the spawn path counts in
+// hotStats.
 func bump(c *atomic.Int64) {
 	c.Store(c.Load() + 1)
 }
@@ -176,9 +239,10 @@ type Stats struct {
 	Span time.Duration
 }
 
-// Stats aggregates the per-worker counters. Counters of computations still
-// in flight are included, so take snapshots after Run returns for exact
-// accounting.
+// Stats aggregates the per-worker counters. A computation's counts are all
+// included once its Ticket.Wait (or Run) has returned; while it is in flight
+// each worker's spawn, task, chunk and live-frame counts may trail by up to
+// 1024 spawns or chunks (see publish).
 func (rt *Runtime) Stats() Stats {
 	var s Stats
 	for _, w := range rt.workers {

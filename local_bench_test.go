@@ -2,9 +2,7 @@
 // the hunt sweeps same-domain victims before escalating, so wide loops on a
 // partitioned runtime should keep most steals local (the ≥70% same-domain
 // acceptance gate) without slowing the uncontended spawn-tree shapes.
-// `make bench-local` records these (plus the uncancelled fib/matmul C-series
-// runs as the ±2% no-regression gate) as BENCH_local.json, diffed by
-// cmd/benchjson against the committed seed baseline.
+// Run with `go test -run '^$' -bench BenchmarkLocal .`.
 package cilkgo_test
 
 import (

@@ -1,10 +1,9 @@
 // Loop experiments (L-series): lazy steal-driven loop splitting submits a
 // cilk_for as one splittable range task instead of an eager Θ(n/grain)
 // spawn tree, so wide loops should show task-creation counts that scale
-// with the thieves (O(P·log(n/grain)) splits), not with n. `make bench-pfor`
-// records these (plus the uncancelled fib/matmul C-series runs as the ±2%
-// no-regression gate) as BENCH_pfor.json, diffed by cmd/benchjson against
-// the committed seed baseline.
+// with the thieves (O(P·log(n/grain)) splits), not with n. Run with
+// `go test -run '^$' -bench BenchmarkLoop .`; cmd/cilkbench's loop_steps is
+// the gated loop workload.
 package cilkgo_test
 
 import (

@@ -3,12 +3,10 @@
 // per-frame charge at allocation and a refund at recycle, all nil-gated when
 // the run carries no budget. These benchmarks pin both sides of that switch:
 // the NoBudget twins run fib and matmul through Submit with accounting
-// disarmed and are A/B-diffed in-process against the C-series uncancelled
-// runs (`make bench-mem` gates the pair at 2% with benchjson -maxab), and the
-// Budgeted twins run the identical workloads under a never-tripping budget to
-// record what armed accounting — live-byte shards, peak watermarks, boundary
-// checks — actually costs. BENCH_mem.json carries both, diffed against the
-// committed seed baseline.
+// disarmed, to be compared with the C-series uncancelled runs of the same
+// `go test -bench` process, and the Budgeted twins run the identical
+// workloads under a never-tripping budget to record what armed accounting —
+// live-byte shards, peak watermarks, boundary checks — actually costs.
 package cilkgo_test
 
 import (

@@ -4,8 +4,8 @@
 // both sides of that gate:
 //
 //   - disabled: the C-series uncancelled fib/matmul runs (no observer) are
-//     the guard — `make bench-obs` diffs them against the committed seed
-//     baseline, proving a runtime built *without* WithObserver pays <2%;
+//     what a runtime built *without* WithObserver pays (cmd/cilkbench's fib
+//     vs fib_observed is the gated form of the same comparison);
 //   - enabled: the same workloads on an observed runtime measure what a
 //     production deployment mounting cilkgo.DebugHandler actually pays for
 //     live work/span accounting (EXPERIMENTS.md O1).

@@ -5,9 +5,9 @@
 // These benchmarks pin that bet: the per-worker frame freelists and the
 // fused task+frame+Context allocation keep the scheduler itself at zero
 // allocations per spawn (what remains in the fib shape is the user-level
-// closure capture, which the API cannot elide). `make bench-spawn` records
-// them as BENCH_spawn.json with the allocation gate and the in-process
-// reducer-cost A/B armed (see cmd/benchjson -gateallocs and -ab).
+// closure capture, which the API cannot elide). The exact allocation gates
+// are the testing.AllocsPerRun tests in alloc_test.go; `make prof-spawn`
+// profiles BenchmarkSpawnFib.
 package cilkgo_test
 
 import (
@@ -113,10 +113,9 @@ func BenchmarkSpawnHyperFree(b *testing.B) {
 
 // BenchmarkSpawnReducerHeavy is the B-side: the same tree with every node
 // folding into an adder reducer, so each spawn seals a view segment and
-// each sync runs the full fold. benchjson's -ab diffs it against
-// BenchmarkSpawnHyperFree in the same process — an interleaved measurement
-// of what the hyperobject machinery costs spawn-dense code, immune to the
-// machine-speed drift that makes committed absolute baselines go stale.
+// each sync runs the full fold. Compare it with BenchmarkSpawnHyperFree from
+// the same `go test -bench` process for what the hyperobject machinery costs
+// spawn-dense code.
 func BenchmarkSpawnReducerHeavy(b *testing.B) {
 	rt := cilkgo.New(cilkgo.WithWorkers(4))
 	defer rt.Shutdown()

@@ -2,9 +2,8 @@
 // to half a victim's deque in one CAS and the adaptive hunt re-probes the
 // last successful victim first, so steal-heavy schedules should show fewer
 // steal attempts per executed task than steal-one with random victims.
-// `make bench-steal` records these (plus the uncancelled C-series runs as a
-// no-regression guard) as BENCH_steal.json, diffed by cmd/benchjson against
-// the committed seed baseline.
+// Run with `go test -run '^$' -bench BenchmarkSteal .`; cmd/cilkbench is the
+// gated benchmark.
 package cilkgo_test
 
 import (
