@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-serve prof-spawn stress-deque fuzz-sched fuzz-sched-long clean
+.PHONY: all build vet test race bench bench-smoke bench-layout bench-serve prof-spawn stress-deque fuzz-sched fuzz-sched-long clean
 
 all: build vet test
 
@@ -32,6 +32,33 @@ bench:
 bench-smoke:
 	$(GO) run -C cmd/cilkbench . -smoke
 	cd cmd/cilkbench && $(GO) test ./...
+
+# Code placement of the benchmark's hot functions: builds .bench_build/cilkbench
+# exactly as cmd/cilkbench/run.sh does and prints each function's address mod
+# 64. Go aligns functions to 32 bytes, so a phase is 0 or 32, and a change
+# that adds or deletes code shifts every later function's phase; fib and
+# loop_steps measurably follow the phases of workloads.Fib and the Reduce
+# closure (EXPERIMENTS.md, "Code placement"). Run it in both checkouts of an
+# A/B and report the phases alongside the timings.
+BENCH_BUILD := $(CURDIR)/.bench_build
+LAYOUT_FUNCS := cilkgo/internal/workloads.Fib \
+	cilkgo/internal/pfor.Reduce[go.shape.int64].func1 \
+	cilkgo/internal/hyper.(*Reducer[go.shape.int64]).View \
+	cilkgo/internal/sched.resetFrame \
+	cilkgo/internal/sched.(*worker).getFrame \
+	cilkgo/internal/sched.(*worker).runTask
+bench-layout:
+	mkdir -p $(BENCH_BUILD)
+	GOCACHE=$(BENCH_BUILD)/gocache GOPATH=$(BENCH_BUILD)/gopath XDG_CONFIG_HOME=$(BENCH_BUILD)/config \
+		GOPROXY=off GOTOOLCHAIN=local GOFLAGS=-buildvcs=false \
+		$(GO) build -C cmd/cilkbench -o $(BENCH_BUILD)/cilkbench .
+	$(GO) tool nm -size -sort address $(BENCH_BUILD)/cilkbench | awk -v funcs='$(LAYOUT_FUNCS)' ' \
+		BEGIN { n = split(funcs, f, " "); for (i = 1; i <= n; i++) want[f[i]] = 1 } \
+		$$4 in want { \
+			a = tolower(substr($$1, length($$1) - 1)); \
+			lo = (index("0123456789abcdef", substr(a, 1, 1)) - 1) * 16 + index("0123456789abcdef", substr(a, 2, 1)) - 1; \
+			printf "%-55s 0x%s  size %5d  mod64 %2d\n", $$4, $$1, $$2, lo % 64; found++ } \
+		END { if (found != n) { print "bench-layout: found " found + 0 " of " n " functions" > "/dev/stderr"; exit 1 } }'
 
 # Serving-latency gate: boot examples/serve with the demo tenant→class map
 # and admission armed, sweep best-effort load 1×→10× with cmd/cilkload's
@@ -69,12 +96,11 @@ prof-spawn:
 	@echo "              $(GO) tool pprof -top -sample_index=alloc_objects spawn_mem.out"
 
 # Deque stress: the grow-vs-thieves and batch-steal tests plus the scheduler's
-# steal-path, lazy-loop exactly-once, and steal-domain tests — and the
-# fault-injected Gate/San suites (forced claim/CAS failures, stretched claim
-# windows, seeded fault schedules) — repeated under the race detector
-# (mirrors the CI job).
+# steal-path and lazy-loop exactly-once tests — and the fault-injected
+# Gate/San suites (forced claim/CAS failures, stretched claim windows, seeded
+# fault schedules) — repeated under the race detector (mirrors the CI job).
 stress-deque:
-	$(GO) test -race -count=5 -run 'StealBatch|GrowRacesThieves|ClearsSlots|UnparkWakeup|HuntPhase|RangeExactlyOnce|Gate|San|Domain' ./internal/deque/ ./internal/sched/
+	$(GO) test -race -count=5 -run 'StealBatch|GrowRacesThieves|ClearsSlots|UnparkWakeup|HuntPhase|RangeExactlyOnce|Gate|San' ./internal/deque/ ./internal/sched/
 	$(GO) test -race -count=5 -run 'TestAlloc' .
 
 # Schedule fuzzing: the pinned regression corpus plus 1000 fresh seeded fault

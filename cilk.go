@@ -137,16 +137,6 @@ func WithSerialElision() Option { return sched.WithSerialElision() }
 // WithStealSeed makes the schedule's random victim selection reproducible.
 func WithStealSeed(seed int64) Option { return sched.WithStealSeed(seed) }
 
-// WithStealDomains partitions the workers into n steal domains: an idle
-// worker sweeps victims inside its own domain first and escalates to remote
-// domains only after a full local sweep fails, and range tasks stolen across
-// a domain boundary are re-injected toward their loop owner's domain. n <= 0
-// auto-detects the machine's NUMA node count (1 — a flat runtime with the
-// classic uniform steal — when undetectable). See Stats.LocalSteals,
-// Stats.RemoteSteals, and Stats.DomainEscalations for the resulting
-// locality split.
-func WithStealDomains(n int) Option { return sched.WithStealDomains(n) }
-
 // WithTracing equips the runtime with low-overhead per-worker event tracing
 // of the parallel schedule: task start/end, spawns, steal attempts and
 // successes (with victim ids), idle hunting, parking, and — on cancelled or
@@ -283,10 +273,6 @@ type MemReport = sched.MemReport
 // WithAdmission arms admission control: Submit rejects with ErrAdmission /
 // ErrQuota instead of queueing unboundedly.
 func WithAdmission(cfg AdmissionConfig) Option { return sched.WithAdmission(cfg) }
-
-// WithLegacyInject reverts root injection to the pre-sharding single FIFO
-// (blind to QoS and priority) — the A/B baseline for the serving benchmarks.
-func WithLegacyInject() Option { return sched.WithLegacyInject() }
 
 // WriteChromeTrace writes a drained trace as Chrome trace-event JSON, one
 // track per worker, viewable in Perfetto or chrome://tracing.

@@ -1,10 +1,10 @@
 // Command schedfuzz is the schedule fuzzer for the work-stealing runtime:
 // it executes property suites (loop exactly-once, ordered reducer folds,
 // spawn-tree determinism, cancellation at-most-once, drain-never-strands,
-// domain-partitioned determinism, memory-accounting non-negativity) under
-// thousands of seeded fault schedules — forced steal/claim failures,
-// stretched race windows, dropped and duplicated wakeups, leaked pool
-// objects — with the runtime invariant checker and stall watchdog armed.
+// memory-accounting non-negativity) under thousands of seeded fault
+// schedules — forced steal/claim failures, stretched race windows, dropped
+// and duplicated wakeups, leaked pool objects — with the runtime invariant
+// checker and stall watchdog armed.
 //
 // Every trial is reproducible: the fault schedule is a pure function of its
 // seed. A failing trial is re-run under shrunken fault plans until no rule
@@ -185,7 +185,7 @@ func runTrial(plan schedsan.Plan, stallAfter, deadline time.Duration) *trialResu
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		properties(rt, res, plan.Seed, opts)
+		properties(rt, res, plan.Seed)
 	}()
 	select {
 	case <-done:
@@ -203,10 +203,8 @@ func runTrial(plan schedsan.Plan, stallAfter, deadline time.Duration) *trialResu
 // properties is the suite every trial runs. Each property is a correctness
 // statement the fault schedule must not be able to break. seed parameterizes
 // the randomized shapes (the mixed-QoS storm) so each trial stays a pure
-// function of its plan seed. opts carries the trial's sanitizer
-// configuration for properties that build their own runtime (property 6's
-// domain-partitioned one).
-func properties(rt *sched.Runtime, res *trialResult, seed int64, opts schedsan.Options) {
+// function of its plan seed.
+func properties(rt *sched.Runtime, res *trialResult, seed int64) {
 	addf := res.addf
 
 	// Property 1: lazy-loop exactly-once. Every iteration of a cilk_for
@@ -433,57 +431,7 @@ func properties(rt *sched.Runtime, res *trialResult, seed int64, opts schedsan.O
 		}
 	}
 
-	// Property 6: domain-partitioned determinism. On a runtime split into
-	// steal domains — where hunts prefer local victims, escalations can be
-	// vetoed (PointDomainEscalate), and affinity re-injection can be dropped
-	// (PointAffinity) — a cilk_for still runs every iteration exactly once
-	// and a list-append reducer over it still folds in exact serial order.
-	// Locality is a performance hint; the fault schedule must not be able to
-	// turn it into a correctness difference.
-	{
-		const n, grain = 3000, 4
-		drt := sched.New(sched.WithWorkers(4), sched.WithStealDomains(2),
-			sched.WithStealSeed(seed), sched.WithSanitize(opts))
-		counts := make([]int32, n)
-		l := hyper.NewListAppend[int]()
-		err := drt.Run(func(c *sched.Context) {
-			pfor.ForGrain(c, 0, n, grain, func(c *sched.Context, i int) {
-				atomic.AddInt32(&counts[i], 1)
-				l.PushBack(c, i)
-			})
-		})
-		if err != nil {
-			addf("domain property: unexpected error %v", err)
-		}
-		for i := range counts {
-			if c := atomic.LoadInt32(&counts[i]); c != 1 {
-				addf("domain property: iteration %d ran %d times, want exactly once", i, c)
-				break
-			}
-		}
-		got := l.Value()
-		if len(got) != n {
-			addf("domain property: fold has %d elements, want %d", len(got), n)
-		} else {
-			for i, x := range got {
-				if x != i {
-					addf("domain property: serial order broken at %d: got %d", i, x)
-					break
-				}
-			}
-		}
-		st := drt.Stats()
-		if st.LocalSteals+st.RemoteSteals != st.Steals {
-			addf("domain property: LocalSteals %d + RemoteSteals %d != Steals %d",
-				st.LocalSteals, st.RemoteSteals, st.Steals)
-		}
-		drt.Shutdown() // post-drain checks include the affinity mailboxes
-		if inj := drt.Sanitizer(); inj != nil {
-			res.addFaults(inj.TotalFired())
-		}
-	}
-
-	// Property 7: memory accounting under faults. Budgeted runs whose bodies
+	// Property 6: memory accounting under faults. Budgeted runs whose bodies
 	// charge and refund in matched pairs must settle with a non-negative
 	// per-run live-byte balance — a forced pool leak (PointRecycle) may
 	// strand bytes as a positive residue, but a negative balance is a double

@@ -22,8 +22,6 @@
 //     cilkgo.PublishExpvar, and the introspection server (DebugHandler)
 //     serves Prometheus metrics on /metrics — including per-class and
 //     per-tenant series — plus the serving LoadReport on /debug/cilk/load;
-//   - -legacyinject reverts to the pre-sharding single FIFO injection queue,
-//     kept as the A/B baseline for cmd/cilkload's starvation measurements;
 //   - SIGINT/SIGTERM drains gracefully: the HTTP listener stops, then
 //     Runtime.ShutdownDrain gives in-flight computations a bounded grace
 //     period before cancelling them with ErrShutdown.
@@ -75,7 +73,6 @@ var (
 	quotaSpec = flag.String("quota", "", "comma-separated tenant=maxactive quotas, e.g. 'free=16' (empty = no per-tenant quotas)")
 	memSoft   = flag.Int64("memsoft", 0, "admission: soft memory watermark in live bytes — above it best-effort submissions are shed (0 = off)")
 	memHard   = flag.Int64("memhard", 0, "admission: hard memory watermark in live bytes — above it the most over-footprint best-effort run is cancelled (0 = off)")
-	legacy    = flag.Bool("legacyinject", false, "revert to the pre-sharding single-FIFO injection queue (A/B baseline for cmd/cilkload)")
 )
 
 // parseTenantClasses parses "pro=interactive,free=best-effort".
@@ -148,9 +145,6 @@ func main() {
 			HardMemoryWatermark: *memHard,
 		}))
 	}
-	if *legacy {
-		opts = append(opts, cilkgo.WithLegacyInject())
-	}
 	rt := cilkgo.New(opts...)
 	cilkgo.PublishExpvar("cilk", rt)
 
@@ -164,7 +158,7 @@ func main() {
 	srv := &http.Server{Addr: *addr}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("serving on %s (budget %v, drain %v, legacyinject %v)", *addr, *budget, *drain, *legacy)
+	log.Printf("serving on %s (budget %v, drain %v)", *addr, *budget, *drain)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

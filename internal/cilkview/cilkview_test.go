@@ -94,25 +94,32 @@ func TestMeasureSerialProgram(t *testing.T) {
 
 func TestMeasureParallelProgram(t *testing.T) {
 	// Eight equal spawned chunks: parallelism should be well above 1 and at
-	// most 8 (plus measurement noise slack).
-	p, err := Measure("wide", func(c *sched.Context) {
-		for i := 0; i < 8; i++ {
-			c.Spawn(func(*sched.Context) { busyWork(1_500_000) })
+	// most 8 (plus measurement noise slack). Strands are timed by wall clock,
+	// and a preempted chunk lengthens the span, so one unlucky measurement
+	// can read nearly serial on a loaded host. Preemption only ever inflates
+	// time, so the best of three measurements is the one to bound from below.
+	best := 0.0
+	for attempt := 0; attempt < 3 && best < 3; attempt++ {
+		p, err := Measure("wide", func(c *sched.Context) {
+			for i := 0; i < 8; i++ {
+				c.Spawn(func(*sched.Context) { busyWork(1_500_000) })
+			}
+			c.Sync()
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		c.Sync()
-	})
-	if err != nil {
-		t.Fatal(err)
+		par := p.Parallelism()
+		if par > 9 {
+			t.Fatalf("parallelism = %.2f exceeds the 8-way structure", par)
+		}
+		if p.Spawns != 8 {
+			t.Fatalf("Spawns = %d, want 8", p.Spawns)
+		}
+		best = max(best, par)
 	}
-	par := p.Parallelism()
-	if par < 3 {
-		t.Fatalf("parallelism = %.2f, want clearly parallel (≥ 3)", par)
-	}
-	if par > 9 {
-		t.Fatalf("parallelism = %.2f exceeds the 8-way structure", par)
-	}
-	if p.Spawns != 8 {
-		t.Fatalf("Spawns = %d, want 8", p.Spawns)
+	if best < 3 {
+		t.Fatalf("parallelism = %.2f (best of three), want clearly parallel (≥ 3)", best)
 	}
 }
 

@@ -85,6 +85,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE cilk_run_latency_seconds histogram",
 		"# TYPE cilk_steal_latency_seconds histogram",
 		"# TYPE cilk_park_to_wake_seconds histogram",
+		// Cumulative totals outside the steal/task family are counters too.
+		"# TYPE cilk_pool_refills counter",
+		"# TYPE cilk_pool_spills counter",
+		"# TYPE cilk_admission_admitted counter",
+		"# TYPE cilk_admission_rejected_load counter",
+		"# TYPE cilk_admission_rejected_quota counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %q", want)

@@ -19,29 +19,30 @@ import (
 // promCounters are the Metrics() keys exported as counters; everything else
 // is a gauge. Kept in sync with sched.Stats documentation.
 var promCounters = map[string]bool{
-	"spawns":                true,
-	"steals":                true,
-	"steal_attempts":        true,
-	"steal_batches":         true,
-	"tasks_stolen_batched":  true,
-	"failed_sweeps":         true,
-	"tasks_run":             true,
-	"tasks_skipped":         true,
-	"loop_splits":           true,
-	"chunks_peeled":         true,
-	"range_steals":          true,
-	"local_steals":          true,
-	"remote_steals":         true,
-	"domain_escalations":    true,
-	"affinity_reinjected":   true,
-	"runs_submitted":        true,
-	"runs_canceled":         true,
-	"mem_budget_cancels":    true,
-	"mem_pressure_rejected": true,
-	"panics_quarantined":    true,
-	"stalls":                true,
-	"san_violations":        true,
-	"san_faults_injected":   true,
+	"spawns":                   true,
+	"steals":                   true,
+	"steal_attempts":           true,
+	"steal_batches":            true,
+	"tasks_stolen_batched":     true,
+	"failed_sweeps":            true,
+	"tasks_run":                true,
+	"tasks_skipped":            true,
+	"loop_splits":              true,
+	"chunks_peeled":            true,
+	"range_steals":             true,
+	"pool_refills":             true,
+	"pool_spills":              true,
+	"admission_admitted":       true,
+	"admission_rejected_load":  true,
+	"admission_rejected_quota": true,
+	"runs_submitted":           true,
+	"runs_canceled":            true,
+	"mem_budget_cancels":       true,
+	"mem_pressure_rejected":    true,
+	"panics_quarantined":       true,
+	"stalls":                   true,
+	"san_violations":           true,
+	"san_faults_injected":      true,
 }
 
 // WriteMetrics writes the full Prometheus scrape: every sched.Metrics
@@ -132,8 +133,8 @@ func WriteMetrics(w io.Writer, rt *sched.Runtime, reg *Registry) error {
 	}
 
 	// Live serving load (sched.LoadReport): instantaneous queue/running
-	// gauges per tenant. The runtime-wide gauges (queued_*, runs_running,
-	// admission_*) are already in Metrics() above.
+	// gauges per tenant. The runtime-wide gauges (queued_*, runs_running)
+	// and cumulative admission_* counters are already in Metrics() above.
 	load := rt.LoadReport()
 	bw.printf("# TYPE cilk_parked gauge\ncilk_parked %d\n", load.Parked)
 	if len(load.Tenants) > 0 {

@@ -131,7 +131,7 @@ func TestLaneEmptyClassForfeitsDeficit(t *testing.T) {
 }
 
 // TestLaneForPlacement: tenant-labeled submissions hash to a stable lane;
-// legacy mode pins everything to lane 0.
+// anonymous ones round-robin across every lane.
 func TestLaneForPlacement(t *testing.T) {
 	rt := New(WithWorkers(4))
 	defer rt.Shutdown()
@@ -147,14 +147,6 @@ func TestLaneForPlacement(t *testing.T) {
 	}
 	if len(seen) != len(rt.lanes) {
 		t.Fatalf("round-robin placement hit %d of %d lanes", len(seen), len(rt.lanes))
-	}
-
-	lrt := New(WithWorkers(4), WithLegacyInject())
-	defer lrt.Shutdown()
-	for _, tenant := range []string{"", "a", "b", "c"} {
-		if lrt.laneFor(tenant) != lrt.lanes[0] {
-			t.Fatalf("legacy inject: tenant %q not on lane 0", tenant)
-		}
 	}
 }
 
@@ -256,47 +248,6 @@ func TestInteractiveNotStarvedByFlood(t *testing.T) {
 	}
 	if lat := itk.QueueLatency(); lat <= 0 {
 		t.Fatalf("interactive QueueLatency = %v, want > 0 after queued pickup", lat)
-	}
-}
-
-// TestLegacyInjectIsFIFO: with WithLegacyInject the flood drains in strict
-// arrival order — the interactive submission lands at the back. This is the
-// head-of-line blocking the sharded DRR lanes exist to remove, pinned here
-// as the A/B contrast for TestInteractiveNotStarvedByFlood.
-func TestLegacyInjectIsFIFO(t *testing.T) {
-	rt := New(WithWorkers(1), WithLegacyInject())
-	defer rt.Shutdown()
-
-	gate := make(chan struct{})
-	blocker, err := rt.Submit(context.Background(), func(*Context) { <-gate })
-	if err != nil {
-		t.Fatal(err)
-	}
-	const flood = 50
-	var finished atomic.Int64
-	for i := 0; i < flood; i++ {
-		if _, err := rt.Submit(context.Background(),
-			func(*Context) { finished.Add(1) },
-			WithQoS(QoSBestEffort)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var interactivePos atomic.Int64
-	itk, err := rt.Submit(context.Background(),
-		func(*Context) { interactivePos.Store(finished.Add(1)) },
-		WithQoS(QoSInteractive), WithPriority(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	close(gate)
-	if err := blocker.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := itk.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if pos := interactivePos.Load(); pos != flood+1 {
-		t.Fatalf("legacy FIFO: interactive finished at position %d, want %d (strict arrival order)", pos, flood+1)
 	}
 }
 

@@ -49,14 +49,6 @@ type loopState struct {
 	frame *frame // the loop's frame; pieces hold units of its join word
 	seq   int32  // the loop's sequence number within frame's sync region
 	grain int
-	// origin is the id of the worker that created the loop (-1 if unknown).
-	// On a domain-partitioned runtime a range task whose steal crossed a
-	// domain boundary is re-injected toward the origin's domain rather
-	// than kept on the thief's deque (splitRange) — the stolen iterations'
-	// working set is the owner's, so re-publication lands them back near
-	// it. Same-domain steals redistribute in place, wherever the range is
-	// currently resident.
-	origin int
 	// body executes iterations [lo, hi) serially on the strand of c.
 	body func(c *Context, lo, hi int)
 	// spawnSpan is the loop frame's local span at the instant the loop was
@@ -99,10 +91,7 @@ func (c *Context) LoopRange(lo, hi, grain int, body func(c *Context, lo, hi int)
 		// so ls.spawnSpan below is the span at the loop's creation point.
 		c.charge(cl)
 	}
-	ls := &loopState{frame: f, seq: f.nextLoopSeq, grain: grain, body: body, spawnSpan: c.spanLocal, origin: -1}
-	if c.w != nil {
-		ls.origin = c.w.id
-	}
+	ls := &loopState{frame: f, seq: f.nextLoopSeq, grain: grain, body: body, spawnSpan: c.spanLocal}
 	f.nextLoopSeq++
 	f.join.Add(1)
 	t := newRangeTask(ls, lo, hi)
@@ -193,11 +182,10 @@ func (w *worker) runChunk(ctx *Context, ls *loopState, lo, hi int) {
 // splitRange halves the freshly stolen range task t when it still covers
 // more than one grain: the thief keeps the front half and pushes the back
 // half — a new, itself splittable, range task — onto its own deque. Called
-// with t exclusively owned (just stolen from victim) before the thief
-// starts executing it, so other hungry workers can pick the far half up
-// immediately instead of waiting a whole chunk for the thief's first
-// remainder publish.
-func (w *worker) splitRange(t *task, victim *worker) {
+// with t exclusively owned (just stolen) before the thief starts executing
+// it, so other hungry workers can pick the far half up immediately instead
+// of waiting a whole chunk for the thief's first remainder publish.
+func (w *worker) splitRange(t *task) {
 	ls := t.loop
 	bump(&w.ws.rangeSteals)
 	rs := ls.frame.run
@@ -219,28 +207,6 @@ func (w *worker) splitRange(t *task, victim *worker) {
 		bump(&s.cells[w.id].loopSplits)
 	}
 	w.rec.LoopSplit(int32(nt.hi-nt.lo), rs.id)
-	if origin := ls.origin; origin >= 0 && len(w.rt.domains) > 1 {
-		// Owner-affinity re-injection: when this steal itself crossed a
-		// domain boundary (victim's domain != thief's) and the loop's home
-		// domain is not the thief's, send the back half home via the owner
-		// domain's affinity mailbox instead of keeping it here, so at most
-		// one of the two halves migrates per cross-domain steal. The victim
-		// check matters: a range legitimately resident in a remote domain
-		// gets redistributed there by same-domain steals (plain push below)
-		// rather than bleeding half of every split back to the owner —
-		// without it, the remote domain can never durably hold loop work
-		// and each local split re-pays a cross-domain transfer. The peel
-		// path never comes through here — the owner's per-chunk remainder
-		// republish stays a plain own-deque push. The sanitizer can veto
-		// the redirect (legal: the task lands on the thief's own deque,
-		// exactly the flat-runtime behaviour).
-		od := w.rt.workers[origin].domain
-		if victim.domain != w.domain && od != w.domain && !w.san.Fail(schedsan.PointAffinity) {
-			bump(&w.ws.affinityReinjected)
-			w.rt.affinityPush(nt, od)
-			return
-		}
-	}
 	if w.deque.PushBottom(nt) {
 		w.rt.wake()
 	}

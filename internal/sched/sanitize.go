@@ -280,18 +280,6 @@ func (rt *Runtime) sanVerifyDrained() {
 	if parked != 0 {
 		rt.sanViolation("shutdown left %d workers parked", parked)
 	}
-	// Affinity mailboxes (domain.go) hold re-injected loop halves; a queued
-	// half keeps its loop's join counters above zero, so a stranded one
-	// contradicts the exit condition exactly like a stranded deque task.
-	if rt.affinity != nil {
-		queued := rt.affinityQueuedTotal()
-		if queued != 0 {
-			rt.sanViolation("shutdown stranded %d tasks in affinity mailboxes", queued)
-		}
-		if g := rt.affinityQueued.Load(); g != int64(queued) {
-			rt.sanViolation("shutdown: affinity gauge %d disagrees with %d queued mailbox tasks", g, queued)
-		}
-	}
 }
 
 // progressCount is the watchdog's global progress vector: it moves whenever

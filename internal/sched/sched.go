@@ -40,20 +40,16 @@ import (
 
 // config collects the options for a Runtime.
 type config struct {
-	workers      int
-	serial       bool
-	hooks        Hooks
-	stealSeed    int64
-	lockThreads  bool
-	trace        bool
-	traceOpts    []TraceOption
-	sanitize     *schedsan.Options
-	observer     RunObserver
-	admission    *AdmissionConfig
-	legacyInject bool
-	// domains is the number of steal domains (see domain.go); 0 and 1 both
-	// mean flat — the paper's uniform random stealing.
-	domains int
+	workers     int
+	serial      bool
+	hooks       Hooks
+	stealSeed   int64
+	lockThreads bool
+	trace       bool
+	traceOpts   []TraceOption
+	sanitize    *schedsan.Options
+	observer    RunObserver
+	admission   *AdmissionConfig
 }
 
 // Option configures a Runtime.
@@ -155,15 +151,6 @@ type Runtime struct {
 	queuedByClass [numQoS]atomic.Int64
 	adm           *admission
 
-	// Locality layer (see domain.go): workers partitioned into steal
-	// domains, one affinity mailbox per domain for owner-affinity
-	// re-injection of stolen ranges (nil with one domain), and the
-	// affinityQueued gauge idle sweeps and the parker's re-check consult —
-	// the mailbox analogue of rt.injected.
-	domains        [][]*worker
-	affinity       []*affinityLane
-	affinityQueued atomic.Int64
-
 	mu          sync.Mutex
 	cond        *sync.Cond
 	active      map[*runState]struct{}
@@ -217,17 +204,17 @@ func New(opts ...Option) *Runtime {
 	rt.workers = make([]*worker, cfg.workers)
 	for i := range rt.workers {
 		rt.workers[i] = &worker{
-			rt:        rt,
-			id:        i,
-			deque:     deque.New[task](),
-			rng:       rand.New(rand.NewSource(cfg.stealSeed + int64(i)*0x9e3779b9)),
-			frameFree: make([]*frame, 0, frameLocalCap),
+			rt:         rt,
+			id:         i,
+			deque:      deque.New[task](),
+			rng:        rand.New(rand.NewSource(cfg.stealSeed + int64(i)*0x9e3779b9)),
+			lastVictim: -1,
+			frameFree:  make([]*frame, 0, frameLocalCap),
 		}
 		if rt.tracer != nil {
 			rt.workers[i].rec = rt.tracer.Recorder(i)
 		}
 	}
-	rt.setupDomains()
 	if cfg.sanitize != nil {
 		// Wire lanes and deque gates before any worker runs, then start the
 		// watchdog alongside them.
@@ -399,48 +386,18 @@ func (e *PanicError) Error() string {
 // worker is one scheduler thread with its private deque (§3.2: "each
 // worker's stack operates like a work queue").
 type worker struct {
+	// id and deque are what other workers read: thieves load a victim's id
+	// and deque on every probe. The fields up to hot are written rarely or
+	// never, and hot starts 64 bytes in; the worker's 320-byte size class
+	// keeps every worker 64-aligned, so a thief's probes never share a cache
+	// line with the owner's per-spawn stores to hot and frameFree.
 	rt    *Runtime
 	id    int
 	deque *deque.Deque[task]
 	rng   *rand.Rand
-	// hot holds the spawn-path counters, private to the worker's goroutine;
-	// ws holds what other goroutines may read (see publish in stats.go).
-	hot hotStats
-	ws  workerStats
 	// rec is the worker's private event recorder; nil unless the runtime
 	// was built with Tracing (all Recorder methods are nil-safe no-ops).
 	rec *trace.Recorder
-	// hunting is true while the worker is between running out of work and
-	// finding the next task, bracketing the trace's idle slices. Only the
-	// worker's own goroutine touches it. huntStart is the nanots timestamp
-	// of the current hunt's start, recorded only while the runtime carries
-	// an observer — a successful steal observes hunt-to-steal latency.
-	hunting   bool
-	huntStart int64
-	// Locality fields (see domain.go), fixed at construction: the worker's
-	// steal domain and its domain-aware injection-lane sweep order.
-	domain    int
-	laneOrder []int
-	// lastVictim[d] is the id of the worker in domain d the last successful
-	// steal came from, or -1. A victim that had surplus work once likely
-	// still has more (Suksompong et al., "On the Efficiency of Localized
-	// Work Stealing"), so a sweep of d probes it first. Only the worker's
-	// own goroutine touches it. A flat runtime has one domain, so
-	// lastVictim[0] is exactly the old single remembered victim.
-	lastVictim []int
-	// localFails counts consecutive stealOnce sweeps whose same-domain rung
-	// found nothing; escalation to remote domains is deferred until it
-	// exceeds localSweepRetries (hysteresis — see stealOnce), and any
-	// successful steal resets it. Only the worker's own goroutine touches
-	// it. Unused (always 0) on a flat runtime.
-	localFails int
-	// Frame recycling (see frame.go): the worker-private freelist — the
-	// spawn path's allocator, touched by no other goroutine — and the
-	// cached spill box that lets steady-state spill/refill cycles move
-	// batches to and from the global backstop without allocating.
-	frameFree []*frame
-	slabCache *frameSlab
-
 	// Sanitizer fields (see sanitize.go). san is the worker's fault-
 	// injection lane, nil without WithSanitize. watch gates the state word:
 	// when the stall watchdog is armed, the worker publishes its coarse
@@ -449,6 +406,28 @@ type worker struct {
 	san   *schedsan.Lane
 	watch bool
 	state atomic.Int32
+	// huntStart is the nanots timestamp of the current hunt's start,
+	// recorded only while the runtime carries an observer — a successful
+	// steal observes hunt-to-steal latency.
+	huntStart int64
+	// hot holds the spawn-path counters, private to the worker's goroutine;
+	// ws holds what other goroutines may read (see publish in stats.go).
+	hot hotStats
+	ws  workerStats
+	// hunting is true while the worker is between running out of work and
+	// finding the next task, bracketing the trace's idle slices. Only the
+	// worker's own goroutine touches it.
+	hunting bool
+	// lastVictim is the id of the worker the last successful steal came
+	// from, or -1. A victim that had surplus work once likely still has more,
+	// so a sweep probes it first. Only the worker's own goroutine touches it.
+	lastVictim int
+	// Frame recycling (see frame.go): the worker-private freelist — the
+	// spawn path's allocator, touched by no other goroutine — and the
+	// cached spill box that lets steady-state spill/refill cycles move
+	// batches to and from the global backstop without allocating.
+	frameFree []*frame
+	slabCache *frameSlab
 }
 
 // Hunt phases, measured in consecutive failed sweeps. A worker that runs out
@@ -516,14 +495,9 @@ func (w *worker) loop() {
 }
 
 // findTask returns the next task: own deque first (bottom, LIFO), then the
-// domain's affinity mailbox (a range task re-injected toward this domain is
-// the work this worker is warmest for after its own), then the injection
-// queue, then one steal sweep over the other workers.
+// injection queue, then one steal sweep over the other workers.
 func (w *worker) findTask() *task {
 	if t := w.deque.PopBottom(); t != nil {
-		return t
-	}
-	if t := w.takeAffinity(w.domain); t != nil {
 		return t
 	}
 	if t := w.takeInjected(); t != nil {
@@ -532,22 +506,21 @@ func (w *worker) findTask() *task {
 	return w.stealOnce()
 }
 
-// takeInjected sweeps the injection lanes for a queued root in the worker's
-// precomputed laneOrder: own lane first (tenant-hashed submissions land on
-// a stable lane, so the worker warm with a tenant's state probes that
-// tenant's lane first), then the rest of its own domain's lanes, then
-// remote lanes — idle workers keep root pickup inside their domain whenever
-// any same-domain lane has work. The empty-path cost is one atomic load of
-// rt.injected — no mutex — which is what lets every idle worker probe the
-// injection path on every sweep without serializing on a global lock the
-// way the old single FIFO did.
+// takeInjected sweeps the injection lanes for a queued root: own lane first
+// (tenant-hashed submissions land on a stable lane, so the worker warm with
+// a tenant's state probes that tenant's lane first), then the rest rotated
+// by the worker's id so concurrent sweepers spread instead of convoying.
+// The empty-path cost is one atomic load of rt.injected — no mutex — which
+// is what lets every idle worker probe the injection path on every sweep
+// without serializing on a global lock.
 func (w *worker) takeInjected() *task {
 	rt := w.rt
 	if rt.injected.Load() == 0 {
 		return nil
 	}
-	for _, li := range w.laneOrder {
-		if t := rt.lanes[li].pop(); t != nil {
+	n := len(rt.lanes)
+	for i := 0; i < n; i++ {
+		if t := rt.lanes[(w.id+i)%n].pop(); t != nil {
 			rt.injected.Add(-1)
 			rt.rootPicked(t.frame.run)
 			w.rec.InjectPickup()
@@ -566,76 +539,39 @@ func (rt *Runtime) rootPicked(rs *runState) {
 	rt.adm.picked(rs)
 }
 
-// localSweepRetries is the escalation hysteresis: how many consecutive
-// failed same-domain sweeps a thief absorbs before its next sweep may cross
-// into remote domains. Escalating on the very first local miss makes remote
-// steals nearly as common as local ones on sparse workloads (one resident
-// range task, empty deques most of the time) — each miss is instantaneous,
-// so a couple of local retries cost microseconds while the local deques
-// refill, and every steal the retries convert from remote to local saves
-// the cross-domain cache misses §4g is about. The sim's VictimDomain policy
-// applies the same hysteresis (proc.localMisses), so measured trends carry
-// over. Liveness is unaffected: the hysteresis delays escalation by a
-// bounded number of sweeps, and a worker parks only after yieldSweeps
-// failures, long after escalation unlocked.
-const localSweepRetries = 2
-
-// stealOnce performs one hierarchical sweep, returning the first
-// successfully stolen task, or nil. Each rung is adaptive — the domain's
-// remembered victim is probed first, falling back to a random rotation
-// (stealSweepDomain) — and a thief escalates past its own domain only
-// after localSweepRetries consecutive full local sweeps fail: first remote
-// domains' deques in random domain order, then the affinity mailboxes, so
-// a locality preference can never strand work. Crossing the domain
-// boundary is counted (DomainEscalations, KindDomainEscalate), and the
-// sanitizer can veto it (the sweep just fails, a fallback every hunt
-// already tolerates). On a flat runtime there is one domain holding every
-// worker, so the ladder degenerates to exactly the old single adaptive
-// sweep. A sweep that fails outright counts toward the worker's hunt
-// escalation.
+// stealOnce performs one steal sweep, returning the first successfully
+// stolen task, or nil. The sweep is adaptive: the remembered victim is
+// probed first (a victim that had surplus once likely still has more), then
+// a random rotation over the other workers (§3.2's randomly chosen victim).
+// A sweep that finds nothing forgets the remembered victim and counts
+// toward the worker's hunt escalation.
 func (w *worker) stealOnce() *task {
 	rt := w.rt
 	// A worker that goes looking for work has run dry or is waiting on a
 	// stolen child: the steal boundary is where its counts get published.
 	w.publish()
-	if len(rt.workers) <= 1 {
+	n := len(rt.workers)
+	if n <= 1 {
 		return nil
 	}
-	if t := w.stealSweepDomain(w.domain); t != nil {
-		w.localFails = 0
-		return t
-	}
-	if nd := len(rt.domains); nd > 1 {
-		w.localFails++
-		if w.localFails <= localSweepRetries {
-			// Hysteresis: stay local for a few sweeps before going remote.
-			bump(&w.ws.failedSweeps)
-			return nil
-		}
-		if w.san.Fail(schedsan.PointDomainEscalate) {
-			// Injected skipped escalation (legal: just a failed sweep; a
-			// later sweep escalates).
-			bump(&w.ws.failedSweeps)
-			return nil
-		}
-		bump(&w.ws.domainEscalations)
-		w.rec.DomainEscalate(int32(w.domain))
-		start := w.rng.Intn(nd)
-		for i := 0; i < nd; i++ {
-			d := (start + i) % nd
-			if d == w.domain {
-				continue
-			}
-			if t := w.stealSweepDomain(d); t != nil {
-				w.localFails = 0
-				return t
-			}
-		}
-		if t := w.takeAffinityAny(); t != nil {
-			w.localFails = 0
+	last := w.lastVictim
+	if last >= 0 && last != w.id {
+		if t := w.stealFrom(rt.workers[last]); t != nil {
 			return t
 		}
 	}
+	start := w.rng.Intn(n)
+	for i := 0; i < n; i++ {
+		victim := rt.workers[(start+i)%n]
+		if victim == w || victim.id == last {
+			continue
+		}
+		if t := w.stealFrom(victim); t != nil {
+			w.lastVictim = victim.id
+			return t
+		}
+	}
+	w.lastVictim = -1
 	bump(&w.ws.failedSweeps)
 	return nil
 }
@@ -656,11 +592,6 @@ func (w *worker) stealFrom(victim *worker) *task {
 		}
 	}
 	bump(&w.ws.steals)
-	if victim.domain == w.domain {
-		bump(&w.ws.localSteals)
-	} else {
-		bump(&w.ws.remoteSteals)
-	}
 	if h := w.rt.obsH; h != nil && w.hunting {
 		// Hunt-to-steal latency: how long this worker went without work
 		// before the steal landed. Steals from syncWait (not hunting) are
@@ -680,21 +611,14 @@ func (w *worker) stealFrom(victim *worker) *task {
 		bumpN(&w.ws.tasksStolenBatched, int64(moved))
 		w.rec.StealBatch(int32(moved))
 		// The extras are stealable work sitting in our deque now; offer a
-		// parked worker the chance to come share it. Locality note: a
-		// cross-domain batch migrates every extra into the thief's domain in
-		// one operation but still counts as ONE steal in the local/remote
-		// split — the split classifies operations, not tasks, so compare
-		// TasksStolenBatched alongside RemoteSteals when judging how much
-		// work actually crossed a domain boundary. The extras now sit where
-		// same-domain thieves of *this* domain find them locally, which is
-		// exactly the amortization batching buys.
+		// parked worker the chance to come share it.
 		w.rt.wake()
 	}
 	if t.loop != nil {
 		// A stolen range task splits immediately (see loop.go): the thief
 		// keeps the front half and re-publishes the back half, so further
 		// thieves need not wait for this one's first remainder publish.
-		w.splitRange(t, victim)
+		w.splitRange(t)
 	}
 	return t
 }
@@ -777,10 +701,8 @@ func (w *worker) park() bool {
 		// The rt.injected re-check under rt.mu is the parker's half of the
 		// injection wake guarantee (see submit.go): a root enqueued before we
 		// took the mutex is visible here, and one enqueued after will find us
-		// already waiting when its Signal fires. affinityQueued keeps a
-		// re-injected range's pickup latency low; its liveness does not
-		// depend on this check (see affinityPush).
-		if rt.injected.Load() > 0 || rt.affinityQueued.Load() > 0 || rt.stealableWork() {
+		// already waiting when its Signal fires.
+		if rt.injected.Load() > 0 || rt.stealableWork() {
 			rt.mu.Unlock()
 			return true
 		}

@@ -26,10 +26,6 @@ type workerStats struct {
 	loopSplits         atomic.Int64
 	chunksPeeled       atomic.Int64
 	rangeSteals        atomic.Int64
-	localSteals        atomic.Int64
-	remoteSteals       atomic.Int64
-	domainEscalations  atomic.Int64
-	affinityReinjected atomic.Int64
 	poolRefills        atomic.Int64
 	poolSpills         atomic.Int64
 	// offStrandJoins counts children this worker completed off their
@@ -190,20 +186,6 @@ type Stats struct {
 	LoopSplits   int64
 	ChunksPeeled int64
 	RangeSteals  int64
-	// Locality counters (see internal/sched/domain.go). Every successful
-	// steal is either local (victim in the thief's steal domain) or remote,
-	// so LocalSteals + RemoteSteals == Steals; on a flat runtime every
-	// steal is local. DomainEscalations counts hunts that swept their whole
-	// domain dry and crossed to remote domains — the escalation rung
-	// Suksompong et al.'s localized-stealing bound charges for.
-	// AffinityReinjected counts stolen range halves sent back toward their
-	// loop owner's domain instead of staying on the remote thief's deque.
-	// All are zero in RunWithStats results: locality is a property of the
-	// worker's hunt, not of one computation.
-	LocalSteals        int64
-	RemoteSteals       int64
-	DomainEscalations  int64
-	AffinityReinjected int64
 	// Frame-recycler counters (see frame.go). PoolSpills counts batches of
 	// frameBatchSize frames a worker's full freelist handed to the global
 	// backstop; PoolRefills counts batches a dry freelist took back. Both
@@ -257,10 +239,6 @@ func (rt *Runtime) Stats() Stats {
 		s.LoopSplits += w.ws.loopSplits.Load()
 		s.ChunksPeeled += w.ws.chunksPeeled.Load()
 		s.RangeSteals += w.ws.rangeSteals.Load()
-		s.LocalSteals += w.ws.localSteals.Load()
-		s.RemoteSteals += w.ws.remoteSteals.Load()
-		s.DomainEscalations += w.ws.domainEscalations.Load()
-		s.AffinityReinjected += w.ws.affinityReinjected.Load()
 		s.PoolRefills += w.ws.poolRefills.Load()
 		s.PoolSpills += w.ws.poolSpills.Load()
 		if m := w.ws.maxLiveFrames.Load(); m > s.MaxLiveFrames {
@@ -291,10 +269,6 @@ func (s Stats) Sub(prev Stats) Stats {
 	s.LoopSplits -= prev.LoopSplits
 	s.ChunksPeeled -= prev.ChunksPeeled
 	s.RangeSteals -= prev.RangeSteals
-	s.LocalSteals -= prev.LocalSteals
-	s.RemoteSteals -= prev.RemoteSteals
-	s.DomainEscalations -= prev.DomainEscalations
-	s.AffinityReinjected -= prev.AffinityReinjected
 	s.PoolRefills -= prev.PoolRefills
 	s.PoolSpills -= prev.PoolSpills
 	s.Stalls -= prev.Stalls
@@ -325,13 +299,6 @@ func (rt *Runtime) Metrics() map[string]int64 {
 		"loop_splits":          s.LoopSplits,
 		"chunks_peeled":        s.ChunksPeeled,
 		"range_steals":         s.RangeSteals,
-		// Locality layer (domain.go): domain count plus the steal-locality
-		// breakdown — local_steals + remote_steals == steals always.
-		"steal_domains":       int64(len(rt.domains)),
-		"local_steals":        s.LocalSteals,
-		"remote_steals":       s.RemoteSteals,
-		"domain_escalations":  s.DomainEscalations,
-		"affinity_reinjected": s.AffinityReinjected,
 		// Frame-recycler traffic (frame.go): batches spilled to / refilled
 		// from the global backstop by the per-worker freelists.
 		"pool_refills":    s.PoolRefills,
@@ -380,8 +347,6 @@ func (rt *Runtime) Metrics() map[string]int64 {
 		m[p+"steals"] = w.ws.steals.Load()
 		m[p+"steal_attempts"] = w.ws.stealAttempts.Load()
 		m[p+"steal_batches"] = w.ws.stealBatches.Load()
-		m[p+"local_steals"] = w.ws.localSteals.Load()
-		m[p+"remote_steals"] = w.ws.remoteSteals.Load()
 		m[p+"failed_sweeps"] = w.ws.failedSweeps.Load()
 		m[p+"tasks_run"] = w.ws.tasksRun.Load()
 		m[p+"max_live_frames"] = w.ws.maxLiveFrames.Load()

@@ -296,13 +296,6 @@ func (rt *Runtime) submit(ctx context.Context, fn func(*Context), sc submitCfg) 
 	}
 	rs.stop = stop
 
-	cls := rs.qos
-	if rt.cfg.legacyInject {
-		// The pre-sharding A/B baseline: one FIFO, blind to class and
-		// priority (accounting still tracks the declared class).
-		cls = QoSBatch
-		rs.prio = 0
-	}
 	lane := rt.laneFor(rs.tenant)
 
 	rt.mu.Lock()
@@ -317,7 +310,7 @@ func (rt *Runtime) submit(ctx context.Context, fn func(*Context), sc submitCfg) 
 	}
 	rt.activeRoots++
 	rt.active[rs] = struct{}{}
-	lane.push(t, cls, rs.prio)
+	lane.push(t, rs.qos, rs.prio)
 	rt.injected.Add(1)
 	rt.queuedByClass[rs.qos].Add(1)
 	if s := rt.san; s != nil && s.opts.BreakInjectWake {
@@ -410,13 +403,6 @@ func (cfg *AdmissionConfig) quotaFor(tenant string) Quota {
 // tracks per-tenant load for LoadReport).
 func WithAdmission(cfg AdmissionConfig) Option {
 	return func(c *config) { c.admission = &cfg }
-}
-
-// WithLegacyInject reverts root injection to the pre-sharding behavior —
-// one FIFO lane, blind to QoS class and priority — kept only as the A/B
-// baseline for the serving benchmarks. Admission control still applies.
-func WithLegacyInject() Option {
-	return func(c *config) { c.legacyInject = true }
 }
 
 // maxTenantEntries bounds the admission map: once past it, fully idle

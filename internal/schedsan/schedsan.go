@@ -86,17 +86,6 @@ const (
 	// object to the garbage collector instead (legal), exercising the
 	// fresh-allocation paths and flushing ABA-style reuse assumptions.
 	PointRecycle
-	// PointDomainEscalate is a thief's escalation past its own steal domain
-	// after a failed local sweep: a forced failure skips the escalation for
-	// this sweep (legal — it is just one more failed sweep, and a later
-	// sweep escalates), starving remote domains of exactly the rung the
-	// localized-stealing time bound depends on.
-	PointDomainEscalate
-	// PointAffinity is a remote thief's re-injection of a stolen range half
-	// toward the loop owner's domain: a forced failure keeps the half on
-	// the thief's own deque instead (legal — the flat-runtime behaviour),
-	// exercising both sides of the affinity decision under steal pressure.
-	PointAffinity
 	// PointInjectWake is the broadcast that announces a new root task in the
 	// injection queue. It is never part of a random plan: dropping it is the
 	// one fault that genuinely stalls the runtime, which is exactly what the
@@ -117,7 +106,7 @@ const (
 var pointNames = [NumPoints]string{
 	"steal", "batch-claim", "batch-cas", "batch-window", "wake", "park",
 	"chunk-peel", "range-split", "view-fold", "recycle",
-	"domain-escalate", "affinity", "inject-wake", "mem-charge",
+	"inject-wake", "mem-charge",
 }
 
 func (p Point) String() string {
@@ -230,20 +219,12 @@ var ruleMenu = []func(rng *rand.Rand) Rule{
 		return Rule{Point: PointViewFold, Mode: ModeDelay, Rate: 0.1 + 0.3*r.Float64(), Delay: time.Duration(r.Intn(20)) * time.Microsecond}
 	},
 	func(r *rand.Rand) Rule { return Rule{Point: PointRecycle, Mode: ModeFail, Rate: 0.1 + 0.8*r.Float64()} },
-	// Locality faults (liveness-safe: a vetoed escalation is one more
-	// failed sweep and the rate is < 1, so a hunting worker escalates with
-	// probability 1; a vetoed affinity redirect is the flat-runtime push).
-	// On a flat runtime these points are never reached and the rules are
-	// inert. NOTE for corpus archaeology: extending this menu reshuffles
-	// which plan RandomPlan derives from a given seed — the pinned corpus
-	// seeds still run liveness-safe plans, they just cover different ones
-	// than when they were minted.
-	func(r *rand.Rand) Rule {
-		return Rule{Point: PointDomainEscalate, Mode: ModeFail, Rate: 0.1 + 0.6*r.Float64()}
-	},
-	func(r *rand.Rand) Rule {
-		return Rule{Point: PointAffinity, Mode: ModeFail, Rate: 0.1 + 0.8*r.Float64()}
-	},
+	// NOTE for corpus archaeology: changing this menu reshuffles which plan
+	// RandomPlan derives from a given seed — the pinned corpus seeds still
+	// run liveness-safe plans, they just cover different ones than when they
+	// were minted (PR 8 added two steal-domain entries, PR 21 removed them).
+	// cmd/schedfuzz's TestCorpusCoversMenu checks that seeds 1–24 still
+	// cover every (point, mode) pair the menu can produce.
 	// Memory fault (liveness-safe: a forced budget trip cancels the run with
 	// ErrMemoryBudget, a legal outcome whose skip-but-join drain the cancel
 	// layer already guarantees; inert for runs without a memory budget).

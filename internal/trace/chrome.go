@@ -118,9 +118,6 @@ func WriteChrome(w io.Writer, t *Trace) error {
 			case KindChunkRun:
 				err = emit(chromeEvent{Name: "chunk", Phase: "i", TS: us, PID: 1, TID: wid,
 					Scope: "t", Args: map[string]any{"iterations": ev.Arg, "run": ev.Run}})
-			case KindDomainEscalate:
-				err = emit(chromeEvent{Name: "domain-escalate", Phase: "i", TS: us, PID: 1, TID: wid,
-					Scope: "t", Args: map[string]any{"domain": ev.Arg}})
 			case KindInjectPickup:
 				err = emit(chromeEvent{Name: "inject-pickup", Phase: "i", TS: us, PID: 1, TID: wid, Scope: "t"})
 			case KindTaskSkip:

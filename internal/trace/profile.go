@@ -22,10 +22,6 @@ type WorkerProfile struct {
 	Panics        int64 // panics quarantined inside this worker's tasks
 	LoopSplits    int64 // stolen lazy-loop ranges halved on this worker
 	LoopChunks    int64 // grain-sized lazy-loop chunks executed
-	// DomainEscalations counts hunts that swept the worker's own steal
-	// domain dry and crossed to remote domains (always zero on a flat
-	// runtime).
-	DomainEscalations int64
 	// Time split. Busy is time with at least one task open; Hunt is time
 	// inside idle slices but not parked (actively probing victims); Parked
 	// is time blocked on the runtime condition variable. The remainder of
@@ -268,8 +264,6 @@ func BuildProfile(t *Trace, buckets int) *Profile {
 				wp.LoopSplits++
 			case KindChunkRun:
 				wp.LoopChunks++
-			case KindDomainEscalate:
-				wp.DomainEscalations++
 			case KindInjectPickup:
 				wp.InjectPickups++
 				huntStart = -1
@@ -437,7 +431,6 @@ func (p *Profile) Render() string {
 		tot.Panics += w.Panics
 		tot.LoopSplits += w.LoopSplits
 		tot.LoopChunks += w.LoopChunks
-		tot.DomainEscalations += w.DomainEscalations
 	}
 	n := len(p.Workers)
 	if n > 0 {
@@ -452,10 +445,6 @@ func (p *Profile) Render() string {
 	if tot.LoopChunks > 0 {
 		fmt.Fprintf(&sb, "\nlazy loops: %d chunks run, %d steal-driven splits\n",
 			tot.LoopChunks, tot.LoopSplits)
-	}
-	if tot.DomainEscalations > 0 {
-		fmt.Fprintf(&sb, "\nsteal locality: %d hunts escalated past their own domain\n",
-			tot.DomainEscalations)
 	}
 	if tot.TaskSkips > 0 || tot.Panics > 0 {
 		fmt.Fprintf(&sb, "\nabandoned work: %d tasks skipped after cancellation, %d panics quarantined\n",

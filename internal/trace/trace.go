@@ -89,11 +89,6 @@ const (
 	// this worker. Arg is the chunk's iteration count; Run is the owning Run
 	// invocation's id.
 	KindChunkRun
-	// KindDomainEscalate marks a hunt escalating past the worker's own steal
-	// domain: a full same-domain sweep (plus the local affinity mailbox) came
-	// up dry, so the next probes target remote domains. Arg is the worker's
-	// own domain id. Never recorded on a flat (single-domain) runtime.
-	KindDomainEscalate
 
 	numKinds
 )
@@ -102,7 +97,7 @@ var kindNames = [numKinds]string{
 	"task-start", "task-end", "spawn", "steal-attempt", "steal-success",
 	"inject-pickup", "idle-enter", "idle-exit", "park", "unpark",
 	"task-skip", "panic", "steal-batch", "hunt-yield",
-	"loop-split", "chunk-run", "domain-escalate",
+	"loop-split", "chunk-run",
 }
 
 func (k Kind) String() string {
@@ -328,10 +323,6 @@ func (r *Recorder) LoopSplit(n int32, run int64) { r.record(KindLoopSplit, n, ru
 
 // ChunkRun records executing one grain-sized chunk of n loop iterations.
 func (r *Recorder) ChunkRun(n int32, run int64) { r.record(KindChunkRun, n, run) }
-
-// DomainEscalate records a hunt crossing from the worker's own steal domain
-// (given) to remote domains after a dry local sweep.
-func (r *Recorder) DomainEscalate(domain int32) { r.record(KindDomainEscalate, domain, 0) }
 
 // InjectPickup records taking a root task from the injection queue.
 func (r *Recorder) InjectPickup() { r.record(KindInjectPickup, 0, 0) }
