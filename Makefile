@@ -96,11 +96,14 @@ prof-spawn:
 	@echo "              $(GO) tool pprof -top -sample_index=alloc_objects spawn_mem.out"
 
 # Deque stress: the grow-vs-thieves and batch-steal tests plus the scheduler's
-# steal-path and lazy-loop exactly-once tests — and the fault-injected
-# Gate/San suites (forced claim/CAS failures, stretched claim windows, seeded
-# fault schedules) — repeated under the race detector (mirrors the CI job).
+# steal-path and lazy-loop exactly-once tests, the injection-queue tests (DRR
+# and priority order across workers, per-class gauges, QueueLatency read
+# while a worker picks the root up — one queue lock sits between every
+# submitter and every idle worker) — and the fault-injected Gate/San suites
+# (forced claim/CAS failures, stretched claim windows, seeded fault
+# schedules) — repeated under the race detector (mirrors the CI job).
 stress-deque:
-	$(GO) test -race -count=5 -run 'StealBatch|GrowRacesThieves|ClearsSlots|UnparkWakeup|HuntPhase|RangeExactlyOnce|Gate|San' ./internal/deque/ ./internal/sched/
+	$(GO) test -race -count=5 -run 'StealBatch|GrowRacesThieves|ClearsSlots|UnparkWakeup|HuntPhase|RangeExactlyOnce|Gate|San|Lane|Starved|QueuedByClass|QueueLatency' ./internal/deque/ ./internal/sched/
 	$(GO) test -race -count=5 -run 'TestAlloc' .
 
 # Schedule fuzzing: the pinned regression corpus plus 1000 fresh seeded fault

@@ -8,18 +8,30 @@
 package cilkgo_test
 
 import (
+	"context"
 	"testing"
 
 	"cilkgo"
 )
 
+// mustSubmit submits fn with opts under a background context and fails the
+// test if Submit refuses it; the caller awaits the returned Ticket.
+func mustSubmit(t testing.TB, rt *cilkgo.Runtime, fn func(*cilkgo.Context), opts ...cilkgo.RunOption) *cilkgo.Ticket {
+	t.Helper()
+	tk, err := rt.Submit(context.Background(), fn, opts...)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	return tk
+}
+
 // gateAllocs runs f under testing.AllocsPerRun and fails when the average
 // allocation count exceeds limit. Under -race the shapes still execute but
 // the numeric check is waived: the race runtime allocates shadow state on
 // paths that are allocation-free in a normal build. The waiver must be a
-// plain return, not t.Skip — gateAllocs runs inside rt.Run on a worker
-// goroutine, and Skip's runtime.Goexit would kill the worker mid-task and
-// deadlock the join.
+// plain return, not t.Skip — gateAllocs runs inside a submitted run on a
+// worker goroutine, and Skip's runtime.Goexit would kill the worker mid-task
+// and deadlock the join.
 func gateAllocs(t *testing.T, name string, limit float64, f func()) {
 	t.Helper()
 	f() // warm the freelists and pools before counting
@@ -41,12 +53,12 @@ func TestAllocSpawnSyncPingPong(t *testing.T) {
 	rt := cilkgo.New(cilkgo.WithWorkers(2))
 	defer rt.Shutdown()
 	child := func(*cilkgo.Context) {}
-	err := rt.Run(func(c *cilkgo.Context) {
+	err := mustSubmit(t, rt, func(c *cilkgo.Context) {
 		gateAllocs(t, "spawn/sync ping-pong", 1, func() {
 			c.Spawn(child)
 			c.Sync()
 		})
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,13 +72,13 @@ func TestAllocWideForChunk(t *testing.T) {
 	rt := cilkgo.New(cilkgo.WithWorkers(2))
 	defer rt.Shutdown()
 	sink := make([]uint8, 1<<14)
-	err := rt.Run(func(c *cilkgo.Context) {
+	err := mustSubmit(t, rt, func(c *cilkgo.Context) {
 		gateAllocs(t, "wide cilk_for", 8, func() {
 			cilkgo.For(c, 0, len(sink), func(_ *cilkgo.Context, i int) {
 				sink[i]++
 			})
 		})
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +93,7 @@ func TestAllocSubmitRoundTrip(t *testing.T) {
 	defer rt.Shutdown()
 	fn := func(*cilkgo.Context) {}
 	gateAllocs(t, "submit round-trip", 24, func() {
-		if err := rt.Run(fn); err != nil {
+		if err := mustSubmit(t, rt, fn).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	})

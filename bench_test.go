@@ -139,7 +139,7 @@ func BenchmarkE3SerialOverhead(b *testing.B) {
 			},
 			func(rt *cilkgo.Runtime) {
 				d := append([]float64(nil), base...)
-				if err := rt.Run(func(c *cilkgo.Context) { workloads.Qsort(c, d, 256) }); err != nil {
+				if err := mustSubmit(b, rt, func(c *cilkgo.Context) { workloads.Qsort(c, d, 256) }).Wait(); err != nil {
 					b.Fatal(err)
 				}
 			})
@@ -153,7 +153,7 @@ func BenchmarkE3SerialOverhead(b *testing.B) {
 		measure("matmul(192)",
 			func() { workloads.SerialMatMul(a, m2, out) },
 			func(rt *cilkgo.Runtime) {
-				if err := rt.Run(func(c *cilkgo.Context) { workloads.MatMul(c, a, m2, out) }); err != nil {
+				if err := mustSubmit(b, rt, func(c *cilkgo.Context) { workloads.MatMul(c, a, m2, out) }).Wait(); err != nil {
 					b.Fatal(err)
 				}
 			})
@@ -165,14 +165,14 @@ func BenchmarkE3SerialOverhead(b *testing.B) {
 			},
 			func(rt *cilkgo.Runtime) {
 				l := hyper.NewListAppend[*workloads.TreeNode]()
-				if err := rt.Run(func(c *cilkgo.Context) { workloads.WalkReducer(c, tree, 3, 40, l) }); err != nil {
+				if err := mustSubmit(b, rt, func(c *cilkgo.Context) { workloads.WalkReducer(c, tree, 3, 40, l) }).Wait(); err != nil {
 					b.Fatal(err)
 				}
 			})
 		measure("fib(27,worst-case)",
 			func() { workloads.SerialFib(27) },
 			func(rt *cilkgo.Runtime) {
-				if err := rt.Run(func(c *cilkgo.Context) { workloads.Fib(c, 27) }); err != nil {
+				if err := mustSubmit(b, rt, func(c *cilkgo.Context) { workloads.Fib(c, 27) }).Wait(); err != nil {
 					b.Fatal(err)
 				}
 			})
@@ -449,7 +449,7 @@ func BenchmarkE8ReducerVsMutex(b *testing.B) {
 	rt := cilkgo.New()
 	defer rt.Shutdown()
 	l := hyper.NewListAppend[*workloads.TreeNode]()
-	if err := rt.Run(func(c *cilkgo.Context) { workloads.WalkReducer(c, tree, 3, 4, l) }); err != nil {
+	if err := mustSubmit(b, rt, func(c *cilkgo.Context) { workloads.WalkReducer(c, tree, 3, 4, l) }).Wait(); err != nil {
 		b.Fatal(err)
 	}
 	got := l.Value()
@@ -487,7 +487,7 @@ func BenchmarkE9Composability(b *testing.B) {
 	}
 	run := func(data []float64) error {
 		d := append([]float64(nil), data...)
-		return rt.Run(func(c *cilkgo.Context) { workloads.Qsort(c, d, 256) })
+		return mustSubmit(b, rt, func(c *cilkgo.Context) { workloads.Qsort(c, d, 256) }).Wait()
 	}
 	var seqT, parT time.Duration
 	for i := 0; i < b.N; i++ {

@@ -15,19 +15,22 @@
 //
 //	rt := cilkgo.New()
 //	defer rt.Shutdown()
-//	err := rt.Run(func(ctx *cilkgo.Context) {
+//	tk, err := rt.Submit(ctx, func(ctx *cilkgo.Context) {
 //		cilkgo.For(ctx, 0, n, func(ctx *cilkgo.Context, i int) {
 //			a[i] = math.Sin(float64(i))
 //		})
 //	})
+//	if err == nil {
+//		err = tk.Wait()
+//	}
 //
-// For server use, computations are context-aware: Runtime.RunCtx abandons
-// the computation cooperatively when the context is canceled or its
-// deadline passes (returning ErrCanceled or ErrDeadlineExceeded), panics
-// are quarantined per run (a *PanicError carrying every sibling panic; the
-// runtime stays healthy), and Runtime.ShutdownDrain bounds how long
-// in-flight work may outlive a shutdown. See the "API at a glance" table
-// in README.md.
+// Runtime.Submit is the one entry point. Computations are context-aware:
+// a run is abandoned cooperatively when its context is canceled or its
+// deadline passes (Ticket.Wait returns ErrCanceled or
+// ErrDeadlineExceeded), panics are quarantined per run (a *PanicError
+// carrying every sibling panic; the runtime stays healthy), and
+// Runtime.ShutdownDrain bounds how long in-flight work may outlive a
+// shutdown. See the "API at a glance" table in README.md.
 //
 // Subsystem packages (importable directly for their full APIs):
 //
@@ -98,7 +101,7 @@ type (
 	// and the recent trace tail.
 	SanitizeReport = schedsan.Report
 	// Observer is the run registry installed by WithObserver: it receives
-	// every Run's online Cilkview report (work, span, per-run stats) and
+	// every run's online Cilkview report (work, span, per-run stats) and
 	// retains the recent ones for DebugHandler's endpoints.
 	Observer = obs.Registry
 	// RunReport is one observed run's terminal record: wall times, per-run
@@ -112,14 +115,16 @@ type (
 // errors.Is: errors.Is(ErrCanceled, context.Canceled) and
 // errors.Is(ErrDeadlineExceeded, context.DeadlineExceeded) hold.
 var (
-	// ErrCanceled is returned by Runtime.RunCtx when the computation was
-	// abandoned because its context was canceled.
+	// ErrCanceled reports a computation abandoned because its context was
+	// canceled: returned by Runtime.Submit for a context already done, and
+	// by Ticket.Wait for one canceled in flight.
 	ErrCanceled = sched.ErrCanceled
-	// ErrDeadlineExceeded is returned by Runtime.RunCtx when the
-	// computation was abandoned because its context's deadline passed.
+	// ErrDeadlineExceeded reports a computation abandoned because its
+	// context's deadline (or its WithTimeBudget) passed.
 	ErrDeadlineExceeded = sched.ErrDeadlineExceeded
-	// ErrShutdown is returned by Run on a runtime that has been shut
-	// down, and by in-flight Runs canceled at ShutdownDrain's deadline.
+	// ErrShutdown is returned by Runtime.Submit on a runtime that has been
+	// shut down, and by Ticket.Wait for in-flight runs canceled at
+	// ShutdownDrain's deadline.
 	ErrShutdown = sched.ErrShutdown
 )
 
@@ -134,7 +139,8 @@ func WithWorkers(n int) Option { return sched.WithWorkers(n) }
 // elisions, as the race detector and profiler require.
 func WithSerialElision() Option { return sched.WithSerialElision() }
 
-// WithStealSeed makes the schedule's random victim selection reproducible.
+// WithStealSeed makes the schedule's random victim selection reproducible;
+// it seeds nothing else.
 func WithStealSeed(seed int64) Option { return sched.WithStealSeed(seed) }
 
 // WithTracing equips the runtime with low-overhead per-worker event tracing
@@ -146,7 +152,8 @@ func WithStealSeed(seed int64) Option { return sched.WithStealSeed(seed) }
 //
 //	rt := cilkgo.New(cilkgo.WithTracing())
 //	rt.Tracer().Start()
-//	rt.Run(...)
+//	tk, _ := rt.Submit(ctx, fn)
+//	tk.Wait()
 //	t := rt.Tracer().Stop()
 //	cilkgo.WriteChromeTrace(f, t)      // view in Perfetto / chrome://tracing
 //	fmt.Print(cilkgo.Summarize(t).Render())
@@ -176,10 +183,9 @@ func WithSanitize(o SanitizeOptions) Option { return sched.WithSanitize(o) }
 // seed, as the schedule fuzzer does: same seed, same plan, same faults.
 func RandomFaultPlan(seed int64) SanitizePlan { return schedsan.RandomPlan(seed) }
 
-// Serving layer (see Runtime.Submit in internal/sched): the canonical
-// submission API plus its per-run options, QoS classes, admission control,
-// and load reporting. Submit subsumes the four legacy Run entry points —
-// Run/RunCtx/RunWithStats/RunWithStatsCtx remain as deprecated wrappers.
+// Serving layer (see Runtime.Submit in internal/sched): the submission API
+// plus its per-run options, QoS classes, admission control, and load
+// reporting.
 //
 //	tk, err := rt.Submit(ctx, fn,
 //		cilkgo.WithTenant("acme"), cilkgo.WithQoS(cilkgo.QoSInteractive),
@@ -243,8 +249,8 @@ func WithStats() RunOption { return sched.WithStats() }
 // WithQoS assigns the run's QoS class (default QoSBatch).
 func WithQoS(q QoSClass) RunOption { return sched.WithQoS(q) }
 
-// WithTenant labels the run with a tenant identity for quotas, lane
-// affinity, and per-tenant accounting.
+// WithTenant labels the run with a tenant identity for quotas and
+// per-tenant accounting.
 func WithTenant(name string) RunOption { return sched.WithTenant(name) }
 
 // WithPriority orders the run's root within its QoS class's queue (higher
@@ -293,7 +299,7 @@ func PublishExpvar(name string, rt *Runtime) {
 func NewObserver(keep int) *Observer { return obs.NewRegistry(keep) }
 
 // WithObserver installs o as the runtime's run observer and arms the online
-// Cilkview clocks: every Run's work (T1) and span (T∞) are measured during
+// Cilkview clocks: every run's work (T1) and span (T∞) are measured during
 // the parallel execution itself — per-strand clocks aggregated at
 // spawn/sync boundaries — and reported to o, together with the run's Stats,
 // and the runtime's live steal-latency and park-to-wake histograms begin

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -82,7 +83,10 @@ func main() {
 
 	tr := rt.Tracer()
 	tr.Start()
-	stats, runErr := rt.RunWithStats(run)
+	tk, runErr := rt.Submit(context.Background(), run, cilkgo.WithStats())
+	if runErr == nil {
+		runErr = tk.Wait()
+	}
 	snap := tr.Stop()
 	if runErr != nil {
 		fmt.Fprintf(os.Stderr, "cilktrace: workload failed: %v\n", runErr)
@@ -109,6 +113,7 @@ func main() {
 	profile := trace.BuildProfile(snap, *buckets)
 	fmt.Print(profile.Render())
 
+	stats := tk.Stats()
 	fmt.Printf("\nper-run stats: %d spawns, %d tasks, %d steals of this run's tasks, "+
 		"max depth %d, live-frame high-water %d\n",
 		stats.Spawns, stats.TasksRun, stats.Steals, stats.MaxDepth, stats.MaxLiveFrames)

@@ -213,12 +213,16 @@ func properties(rt *sched.Runtime, res *trialResult, seed int64) {
 		const n, grain = 4000, 3
 		counts := make([]int32, n)
 		var sum atomic.Int64
-		stats, err := rt.RunWithStats(func(c *sched.Context) {
+		var stats sched.Stats
+		tk, err := rt.Submit(context.Background(), func(c *sched.Context) {
 			pfor.ForGrain(c, 0, n, grain, func(c *sched.Context, i int) {
 				atomic.AddInt32(&counts[i], 1)
 				sum.Add(int64(i))
 			})
-		})
+		}, sched.WithStats())
+		if err == nil {
+			err, stats = tk.Wait(), tk.Stats()
+		}
 		if err != nil {
 			addf("loop property: unexpected error %v", err)
 		}
@@ -253,7 +257,11 @@ func properties(rt *sched.Runtime, res *trialResult, seed int64) {
 			walk(c, mid, hi)
 			c.Sync()
 		}
-		if err := rt.Run(func(c *sched.Context) { walk(c, 0, n) }); err != nil {
+		tk, err := rt.Submit(context.Background(), func(c *sched.Context) { walk(c, 0, n) })
+		if err == nil {
+			err = tk.Wait()
+		}
+		if err != nil {
 			addf("fold property: unexpected error %v", err)
 		}
 		got := l.Value()
@@ -285,7 +293,11 @@ func properties(rt *sched.Runtime, res *trialResult, seed int64) {
 			c.Sync()
 			*out = a + b
 		}
-		stats, err := rt.RunWithStats(func(c *sched.Context) { fib(c, 14, &got) })
+		var stats sched.Stats
+		tk, err := rt.Submit(context.Background(), func(c *sched.Context) { fib(c, 14, &got) }, sched.WithStats())
+		if err == nil {
+			err, stats = tk.Wait(), tk.Stats()
+		}
 		if err != nil {
 			addf("fib property: unexpected error %v", err)
 		}
@@ -304,11 +316,14 @@ func properties(rt *sched.Runtime, res *trialResult, seed int64) {
 		const n = 50_000
 		counts := make([]int32, n)
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
-		err := rt.RunCtx(ctx, func(c *sched.Context) {
+		tk, err := rt.Submit(ctx, func(c *sched.Context) {
 			pfor.ForGrain(c, 0, n, 8, func(c *sched.Context, i int) {
 				atomic.AddInt32(&counts[i], 1)
 			})
 		})
+		if err == nil {
+			err = tk.Wait()
+		}
 		cancel()
 		if err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
 			addf("cancel property: unexpected error %v", err)

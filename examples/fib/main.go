@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -52,7 +53,11 @@ func main() {
 		}
 		var got int64
 		start := time.Now()
-		if err := rt.Run(func(c *cilkgo.Context) { got = workloads.Fib(c, n) }); err != nil {
+		tk, err := rt.Submit(context.Background(), func(c *cilkgo.Context) { got = workloads.Fib(c, n) })
+		if err != nil {
+			panic(err)
+		}
+		if err := tk.Wait(); err != nil {
 			panic(err)
 		}
 		elapsed := time.Since(start)

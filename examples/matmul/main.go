@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -55,7 +56,11 @@ func main() {
 		}
 		out := workloads.NewMatrix(n)
 		start := time.Now()
-		if err := rt.Run(func(c *cilkgo.Context) { workloads.MatMul(c, a, b, out) }); err != nil {
+		tk, err := rt.Submit(context.Background(), func(c *cilkgo.Context) { workloads.MatMul(c, a, b, out) })
+		if err != nil {
+			panic(err)
+		}
+		if err := tk.Wait(); err != nil {
 			panic(err)
 		}
 		elapsed := time.Since(start)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -21,7 +22,11 @@ func main() {
 	serialRT := cilkgo.New(cilkgo.WithWorkers(1))
 	var want int64
 	start := time.Now()
-	if err := serialRT.Run(func(c *cilkgo.Context) { want = workloads.NQueens(c, n) }); err != nil {
+	tk, err := serialRT.Submit(context.Background(), func(c *cilkgo.Context) { want = workloads.NQueens(c, n) })
+	if err != nil {
+		panic(err)
+	}
+	if err := tk.Wait(); err != nil {
 		panic(err)
 	}
 	serial := time.Since(start)
@@ -34,7 +39,11 @@ func main() {
 		rt := cilkgo.New(cilkgo.WithWorkers(p))
 		var got int64
 		start := time.Now()
-		if err := rt.Run(func(c *cilkgo.Context) { got = workloads.NQueens(c, n) }); err != nil {
+		tk, err := rt.Submit(context.Background(), func(c *cilkgo.Context) { got = workloads.NQueens(c, n) })
+		if err != nil {
+			panic(err)
+		}
+		if err := tk.Wait(); err != nil {
 			panic(err)
 		}
 		elapsed := time.Since(start)

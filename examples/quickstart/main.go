@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -19,7 +20,7 @@ func main() {
 	const n = 100 // as in Fig. 1's main routine
 	a := make([]float64, n)
 
-	err := rt.Run(func(ctx *cilkgo.Context) {
+	tk, err := rt.Submit(context.Background(), func(ctx *cilkgo.Context) {
 		// cilk_for (int i=0; i<n; ++i) a[i] = sin((double) i);
 		cilkgo.For(ctx, 0, n, func(_ *cilkgo.Context, i int) {
 			a[i] = math.Sin(float64(i))
@@ -28,6 +29,9 @@ func main() {
 		workloads.Qsort(ctx, a, 8)
 	})
 	if err != nil {
+		panic(err)
+	}
+	if err := tk.Wait(); err != nil {
 		panic(err)
 	}
 

@@ -9,7 +9,8 @@
 //   - the X-Tenant request header labels the computation: -tenantclass maps
 //     tenants to QoS classes ("pro=interactive,free=best-effort"), so a
 //     best-effort flood from one tenant cannot starve another tenant's
-//     interactive traffic out of the sharded DRR injection lanes;
+//     interactive traffic: every worker drains the one injection queue by
+//     weighted DRR;
 //   - -maxqueued/-maxactive/-quota arm admission control: a tenant over its
 //     quota gets 429 with Retry-After, a server at capacity sheds with 503 —
 //     both decided at Submit time, before any work is queued;
@@ -31,7 +32,7 @@
 //	go run ./examples/serve -addr :8080 -statsheader \
 //	    -tenantclass 'pro=interactive,free=best-effort' -quota 'free=16' &
 //	curl 'localhost:8080/matmul?n=256'                      # anonymous → batch
-//	curl -H 'X-Tenant: pro'  'localhost:8080/matmul?n=256'  # interactive lane
+//	curl -H 'X-Tenant: pro'  'localhost:8080/matmul?n=256'  # interactive class
 //	curl -H 'X-Tenant: free' 'localhost:8080/sinsum?n=100000'
 //	curl 'localhost:8080/debug/cilk/load'                   # serving load (JSON)
 //	curl 'localhost:8080/metrics'                           # Prometheus scrape
@@ -265,7 +266,7 @@ func handle(rt *cilkgo.Runtime, classes map[string]cilkgo.QoSClass, work func(c 
 		err = tk.Wait()
 		if *statsHeader {
 			// Per-request accounting: the header summarizes this request's
-			// own computation — tasks it ran, steals of its tasks, its lane
+			// own computation — tasks it ran, steals of its tasks, its queue
 			// wait, and its online parallelism estimate (work/span, measured
 			// while the parallel schedule ran).
 			st := tk.Stats()

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"time"
@@ -87,10 +88,13 @@ func timeMutexWalk(p int, root *workloads.TreeNode) (time.Duration, time.Duratio
 	mu := cilklock.New("output_list")
 	var out []*workloads.TreeNode
 	start := time.Now()
-	err := rt.Run(func(c *cilkgo.Context) {
+	tk, err := rt.Submit(context.Background(), func(c *cilkgo.Context) {
 		workloads.WalkMutex(c, root, modulus, workUnits, mu, &out)
 	})
 	if err != nil {
+		panic(err)
+	}
+	if err := tk.Wait(); err != nil {
 		panic(err)
 	}
 	return time.Since(start), mu.Stats().Wait
@@ -101,10 +105,13 @@ func timeReducerWalk(p int, root *workloads.TreeNode, want []*workloads.TreeNode
 	defer rt.Shutdown()
 	out := hyper.NewListAppend[*workloads.TreeNode]()
 	start := time.Now()
-	err := rt.Run(func(c *cilkgo.Context) {
+	tk, err := rt.Submit(context.Background(), func(c *cilkgo.Context) {
 		workloads.WalkReducer(c, root, modulus, workUnits, out)
 	})
 	if err != nil {
+		panic(err)
+	}
+	if err := tk.Wait(); err != nil {
 		panic(err)
 	}
 	return time.Since(start), reflect.DeepEqual(out.Value(), want)

@@ -17,6 +17,7 @@
 package cilkview
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -170,7 +171,11 @@ func CSV(p Profile, procs []int, measured []Point) string {
 func Measure(name string, fn func(*sched.Context)) (Profile, error) {
 	tr := &timingHooks{bld: dag.NewBuilder(), last: time.Now()}
 	rt := sched.New(sched.WithSerialElision(), sched.WithHooks(tr))
-	if err := rt.Run(fn); err != nil {
+	tk, err := rt.Submit(context.Background(), fn)
+	if err == nil {
+		err = tk.Wait()
+	}
+	if err != nil {
 		return Profile{}, err
 	}
 	tr.charge() // close the final strand

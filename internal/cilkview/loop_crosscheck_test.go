@@ -1,6 +1,7 @@
 package cilkview
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -72,13 +73,17 @@ func TestLazySplitMatchesEagerDag(t *testing.T) {
 	// No thieves: the lazy schedule is the eager dag's leaf sequence.
 	rt1 := sched.New(sched.WithWorkers(1))
 	var sink atomic.Int64
-	st, err := rt1.RunWithStats(func(c *sched.Context) {
+	tk, err := rt1.Submit(context.Background(), func(c *sched.Context) {
 		pfor.ForGrain(c, 0, xcN, xcGrain, xcBody(&sink))
-	})
+	}, sched.WithStats())
+	if err == nil {
+		err = tk.Wait()
+	}
 	rt1.Shutdown()
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := tk.Stats()
 	if got := sink.Load(); got != xcN {
 		t.Fatalf("1-worker lazy run: iterations = %d, want exactly %d", got, xcN)
 	}
@@ -95,12 +100,16 @@ func TestLazySplitMatchesEagerDag(t *testing.T) {
 	defer rt.Shutdown()
 	for trial := 0; trial < 10; trial++ {
 		var n atomic.Int64
-		st, err := rt.RunWithStats(func(c *sched.Context) {
+		tk, err := rt.Submit(context.Background(), func(c *sched.Context) {
 			pfor.ForGrain(c, 0, xcN, xcGrain, xcBody(&n))
-		})
+		}, sched.WithStats())
+		if err == nil {
+			err = tk.Wait()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		st := tk.Stats()
 		if got := n.Load(); got != xcN {
 			t.Fatalf("trial %d: iterations counted %d, want exactly %d", trial, got, xcN)
 		}

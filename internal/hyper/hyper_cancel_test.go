@@ -25,7 +25,7 @@ func TestReducerDeterministicOnCancelledLoop(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var seen atomic.Int64
 		const n = 20_000
-		err := rt.RunCtx(ctx, func(c *sched.Context) {
+		tk, err := rt.Submit(ctx, func(c *sched.Context) {
 			pfor.ForGrain(c, 0, n, 16, func(c *sched.Context, i int) {
 				if seen.Add(1) >= 200 {
 					cancel()
@@ -39,6 +39,9 @@ func TestReducerDeterministicOnCancelledLoop(t *testing.T) {
 				*v = append(*v, i)
 			})
 		})
+		if err == nil {
+			err = tk.Wait()
+		}
 		if !errors.Is(err, sched.ErrCanceled) {
 			t.Fatalf("workers=%d: err = %v, want ErrCanceled", workers, err)
 		}
@@ -67,7 +70,7 @@ func TestReducerUntouchedOnPreCancelledRun(t *testing.T) {
 	sum := hyper.NewAdder[int]()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := rt.RunCtx(ctx, func(c *sched.Context) {
+	if _, err := rt.Submit(ctx, func(c *sched.Context) {
 		*sum.View(c) += 1
 	}); !errors.Is(err, sched.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)

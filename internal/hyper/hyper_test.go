@@ -1,6 +1,7 @@
 package hyper
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -10,13 +11,24 @@ import (
 	"cilkgo/internal/sched"
 )
 
+// mustSubmit submits fn with opts under a background context and fails the
+// test if Submit refuses it; the caller awaits the returned Ticket.
+func mustSubmit(t testing.TB, rt *sched.Runtime, fn func(*sched.Context), opts ...sched.RunOption) *sched.Ticket {
+	t.Helper()
+	tk, err := rt.Submit(context.Background(), fn, opts...)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	return tk
+}
+
 // runPar executes fn on a fresh parallel runtime with p workers.
 func runPar(t *testing.T, p int, seed int64, fn func(*sched.Context)) {
 	t.Helper()
 	rt := sched.New(sched.WithWorkers(p), sched.WithStealSeed(seed))
 	defer rt.Shutdown()
-	if err := rt.Run(fn); err != nil {
-		t.Fatalf("Run: %v", err)
+	if err := mustSubmit(t, rt, fn).Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
 	}
 }
 
@@ -24,8 +36,8 @@ func runPar(t *testing.T, p int, seed int64, fn func(*sched.Context)) {
 func runSerialElision(t *testing.T, fn func(*sched.Context)) {
 	t.Helper()
 	rt := sched.New(sched.WithSerialElision())
-	if err := rt.Run(fn); err != nil {
-		t.Fatalf("Run(serial): %v", err)
+	if err := mustSubmit(t, rt, fn).Wait(); err != nil {
+		t.Fatalf("Wait(serial): %v", err)
 	}
 }
 
@@ -122,7 +134,7 @@ func TestReducerReuseAcrossRuns(t *testing.T) {
 	rt := sched.New(sched.WithWorkers(2))
 	defer rt.Shutdown()
 	for run := 1; run <= 3; run++ {
-		if err := rt.Run(func(c *sched.Context) { sum.Add(c, run) }); err != nil {
+		if err := mustSubmit(t, rt, func(c *sched.Context) { sum.Add(c, run) }).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		if sum.Value() != run {
@@ -368,13 +380,13 @@ func TestQuickListOrderMatchesSerial(t *testing.T) {
 		}
 		serial := NewListAppend[int]()
 		rtS := sched.New(sched.WithSerialElision())
-		if err := rtS.Run(func(c *sched.Context) { program(c, serial) }); err != nil {
+		if err := mustSubmit(t, rtS, func(c *sched.Context) { program(c, serial) }).Wait(); err != nil {
 			return false
 		}
 		par := NewListAppend[int]()
 		rtP := sched.New(sched.WithWorkers(p), sched.WithStealSeed(tc.Seed))
 		defer rtP.Shutdown()
-		if err := rtP.Run(func(c *sched.Context) { program(c, par) }); err != nil {
+		if err := mustSubmit(t, rtP, func(c *sched.Context) { program(c, par) }).Wait(); err != nil {
 			return false
 		}
 		return reflect.DeepEqual(serial.Value(), par.Value())
@@ -390,11 +402,11 @@ func BenchmarkAdderAdd(b *testing.B) {
 	sum := NewAdder[int64]()
 	b.ReportAllocs()
 	b.ResetTimer()
-	if err := rt.Run(func(c *sched.Context) {
+	if err := mustSubmit(b, rt, func(c *sched.Context) {
 		for i := 0; i < b.N; i++ {
 			sum.Add(c, 1)
 		}
-	}); err != nil {
+	}).Wait(); err != nil {
 		b.Fatal(err)
 	}
 }

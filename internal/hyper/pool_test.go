@@ -14,7 +14,7 @@ func TestAcquireRelease(t *testing.T) {
 	m := FuncMonoid(func() int { return 0 }, func(a, b int) int { return a + b })
 	rt := sched.New(sched.WithWorkers(1))
 	defer rt.Shutdown()
-	if err := rt.Run(func(c *sched.Context) {
+	if err := mustSubmit(t, rt, func(c *sched.Context) {
 		r1 := Acquire(m)
 		*r1.View(c) = 41
 		if got := *r1.View(c); got != 41 {
@@ -28,7 +28,7 @@ func TestAcquireRelease(t *testing.T) {
 			t.Errorf("re-acquired reducer view = %d, want identity 0 (stale view survived Release)", got)
 		}
 		Release(c, r2)
-	}); err != nil {
+	}).Wait(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -39,7 +39,7 @@ func TestReleaseDropsOnlyOwnView(t *testing.T) {
 	m := FuncMonoid(func() int { return 0 }, func(a, b int) int { return a + b })
 	rt := sched.New(sched.WithWorkers(1))
 	defer rt.Shutdown()
-	if err := rt.Run(func(c *sched.Context) {
+	if err := mustSubmit(t, rt, func(c *sched.Context) {
 		keep := New(m)
 		*keep.View(c) = 7
 		tmp := Acquire(m)
@@ -48,7 +48,7 @@ func TestReleaseDropsOnlyOwnView(t *testing.T) {
 		if got := *keep.View(c); got != 7 {
 			t.Errorf("unrelated view = %d after Release, want 7", got)
 		}
-	}); err != nil {
+	}).Wait(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -63,7 +63,7 @@ func BenchmarkViewLookup(b *testing.B) {
 		rt := sched.New(sched.WithWorkers(1))
 		defer rt.Shutdown()
 		b.ReportAllocs()
-		if err := rt.Run(func(c *sched.Context) {
+		if err := mustSubmit(b, rt, func(c *sched.Context) {
 			m := FuncMonoid(func() int64 { return 0 }, func(a, x int64) int64 { return a + x })
 			for i := 0; i < others; i++ {
 				r := New(m)
@@ -75,7 +75,7 @@ func BenchmarkViewLookup(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				*hot.View(c)++
 			}
-		}); err != nil {
+		}).Wait(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -91,7 +91,7 @@ func BenchmarkViewLookupAlternating(b *testing.B) {
 	rt := sched.New(sched.WithWorkers(1))
 	defer rt.Shutdown()
 	b.ReportAllocs()
-	if err := rt.Run(func(c *sched.Context) {
+	if err := mustSubmit(b, rt, func(c *sched.Context) {
 		m := FuncMonoid(func() int64 { return 0 }, func(a, x int64) int64 { return a + x })
 		r1, r2 := New(m), New(m)
 		*r1.View(c), *r2.View(c) = 0, 0
@@ -100,7 +100,7 @@ func BenchmarkViewLookupAlternating(b *testing.B) {
 			*r1.View(c)++
 			*r2.View(c)++
 		}
-	}); err != nil {
+	}).Wait(); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -24,7 +24,11 @@ func observedRuntime(t *testing.T, opts ...sched.Option) (*sched.Runtime, *Regis
 	rt := sched.New(append([]sched.Option{sched.WithWorkers(2), sched.WithRunObserver(reg)}, opts...)...)
 	t.Cleanup(rt.Shutdown)
 	for i := 0; i < 3; i++ {
-		if err := rt.Run(func(c *sched.Context) { fibSpin(c, 6, 50*time.Microsecond) }); err != nil {
+		tk, err := rt.Submit(context.Background(), func(c *sched.Context) { fibSpin(c, 6, 50*time.Microsecond) })
+		if err == nil {
+			err = tk.Wait()
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}

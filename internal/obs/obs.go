@@ -61,12 +61,12 @@ const maxTenantAggs = 256
 type classAgg struct {
 	runs, errs int64
 	latency    *trace.LiveHistogram // run wall-clock latency
-	queueWait  *trace.LiveHistogram // root lane wait (RunReport.Queued)
+	queueWait  *trace.LiveHistogram // root queue wait (RunReport.Queued)
 }
 
 type tenantAgg struct {
 	runs, errs  int64
-	queuedTotal time.Duration // cumulative lane wait across the tenant's runs
+	queuedTotal time.Duration // cumulative queue wait across the tenant's runs
 }
 
 // ClassStats is the completed-run summary of one QoS class.
@@ -78,7 +78,7 @@ type ClassStats struct {
 }
 
 // TenantStats is the completed-run summary of one tenant label. QueuedTotal
-// is the tenant's cumulative root lane wait; QueuedTotal/Runs is its mean
+// is the tenant's cumulative root queue wait; QueuedTotal/Runs is its mean
 // queueing delay.
 type TenantStats struct {
 	Tenant      string

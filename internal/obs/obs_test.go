@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -191,7 +192,10 @@ func TestOnlineMatchesOfflineCilkview(t *testing.T) {
 
 		reg := NewRegistry(4)
 		rt := sched.New(sched.WithWorkers(1), sched.WithRunObserver(reg))
-		err = rt.Run(workload)
+		tk, err := rt.Submit(context.Background(), workload)
+		if err == nil {
+			err = tk.Wait()
+		}
 		rt.Shutdown()
 		if err != nil {
 			t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 
 // TestForCancelSkipsRemainingChunks: a cilk_for whose run is cancelled
 // mid-loop abandons the remaining chunks — a bounded number of grains
-// (those already executing) finish, and no new chunk starts after RunCtx
+// (those already executing) finish, and no new chunk starts after Wait
 // returns.
 func TestForCancelSkipsRemainingChunks(t *testing.T) {
 	rt := sched.New(sched.WithWorkers(4))
@@ -20,7 +20,7 @@ func TestForCancelSkipsRemainingChunks(t *testing.T) {
 	const n = 100_000
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int64
-	err := rt.RunCtx(ctx, func(c *sched.Context) {
+	tk, err := rt.Submit(ctx, func(c *sched.Context) {
 		ForGrain(c, 0, n, 8, func(c *sched.Context, i int) {
 			if started.Add(1) == 64 {
 				cancel()
@@ -28,6 +28,9 @@ func TestForCancelSkipsRemainingChunks(t *testing.T) {
 			time.Sleep(5 * time.Microsecond)
 		})
 	})
+	if err == nil {
+		err = tk.Wait()
+	}
 	if !errors.Is(err, sched.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -35,11 +38,11 @@ func TestForCancelSkipsRemainingChunks(t *testing.T) {
 	if after >= n {
 		t.Fatalf("all %d iterations ran despite cancellation", n)
 	}
-	// No chunk may start once RunCtx has returned: the loop's fork-join
+	// No chunk may start once Wait has returned: the loop's fork-join
 	// nest has drained.
 	time.Sleep(20 * time.Millisecond)
 	if got := started.Load(); got != after {
-		t.Fatalf("iterations advanced from %d to %d after RunCtx returned", after, got)
+		t.Fatalf("iterations advanced from %d to %d after Wait returned", after, got)
 	}
 }
 
@@ -50,11 +53,11 @@ func TestForUncancelledCompletes(t *testing.T) {
 	defer rt.Shutdown()
 	const n = 50_000
 	counts := make([]int32, n)
-	err := rt.RunCtx(context.Background(), func(c *sched.Context) {
+	err := mustSubmit(t, rt, func(c *sched.Context) {
 		For(c, 0, n, func(c *sched.Context, i int) {
 			atomic.AddInt32(&counts[i], 1)
 		})
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +70,12 @@ func TestForUncancelledCompletes(t *testing.T) {
 
 // TestPanicInNestedForBody: a panic deep inside a nested cilk_for is
 // quarantined, the enclosing loops stop issuing chunks, and the runtime
-// survives for the next Run.
+// survives for the next submission.
 func TestPanicInNestedForBody(t *testing.T) {
 	rt := sched.New(sched.WithWorkers(4))
 	defer rt.Shutdown()
 	var ran atomic.Int64
-	err := rt.Run(func(c *sched.Context) {
+	err := mustSubmit(t, rt, func(c *sched.Context) {
 		For(c, 0, 64, func(c *sched.Context, i int) {
 			For(c, 0, 64, func(c *sched.Context, j int) {
 				if i == 3 && j == 7 {
@@ -81,7 +84,7 @@ func TestPanicInNestedForBody(t *testing.T) {
 				ran.Add(1)
 			})
 		})
-	})
+	}).Wait()
 	var pe *sched.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -91,9 +94,9 @@ func TestPanicInNestedForBody(t *testing.T) {
 	}
 	// The runtime must stay healthy: a full nested loop afterwards.
 	var again atomic.Int64
-	if err := rt.Run(func(c *sched.Context) {
+	if err := mustSubmit(t, rt, func(c *sched.Context) {
 		For2D(c, 0, 32, 0, 32, func(c *sched.Context, i, j int) { again.Add(1) })
-	}); err != nil {
+	}).Wait(); err != nil {
 		t.Fatalf("runtime unusable after nested panic: %v", err)
 	}
 	if again.Load() != 32*32 {
@@ -108,7 +111,7 @@ func TestReduceOnCancelledRun(t *testing.T) {
 	defer rt.Shutdown()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := rt.RunCtx(ctx, func(c *sched.Context) {
+	_, err := rt.Submit(ctx, func(c *sched.Context) {
 		t.Error("body ran under a pre-cancelled context")
 	})
 	if !errors.Is(err, sched.ErrCanceled) {

@@ -1,6 +1,7 @@
 package pfor_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -31,11 +32,14 @@ func (h *hookLog) String() string { return strings.Join(h.events, " ") }
 func TestForGrainHookOrder(t *testing.T) {
 	rec := &hookLog{}
 	rt := sched.New(sched.WithSerialElision(), sched.WithHooks(rec))
-	err := rt.Run(func(c *sched.Context) {
+	tk, err := rt.Submit(context.Background(), func(c *sched.Context) {
 		pfor.ForGrain(c, 0, 4, 1, func(c *sched.Context, i int) {
 			rec.mark(fmt.Sprintf("b%d", i))
 		})
 	})
+	if err == nil {
+		err = tk.Wait()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +59,16 @@ func TestNestedForHookStructure(t *testing.T) {
 	rec := &hookLog{}
 	rt := sched.New(sched.WithSerialElision(), sched.WithHooks(rec))
 	seen := map[string]bool{}
-	err := rt.Run(func(c *sched.Context) {
+	tk, err := rt.Submit(context.Background(), func(c *sched.Context) {
 		pfor.ForGrain(c, 0, 2, 1, func(c *sched.Context, i int) {
 			pfor.ForGrain(c, 0, 2, 1, func(c *sched.Context, j int) {
 				seen[fmt.Sprintf("%d,%d", i, j)] = true
 			})
 		})
 	})
+	if err == nil {
+		err = tk.Wait()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package pfor
 
 import (
+	"context"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -10,12 +11,23 @@ import (
 	"cilkgo/internal/sched"
 )
 
+// mustSubmit submits fn with opts under a background context and fails the
+// test if Submit refuses it; the caller awaits the returned Ticket.
+func mustSubmit(t testing.TB, rt *sched.Runtime, fn func(*sched.Context), opts ...sched.RunOption) *sched.Ticket {
+	t.Helper()
+	tk, err := rt.Submit(context.Background(), fn, opts...)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	return tk
+}
+
 func runPar(t *testing.T, p int, fn func(*sched.Context)) {
 	t.Helper()
 	rt := sched.New(sched.WithWorkers(p))
 	defer rt.Shutdown()
-	if err := rt.Run(fn); err != nil {
-		t.Fatalf("Run: %v", err)
+	if err := mustSubmit(t, rt, fn).Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
 	}
 }
 
@@ -93,7 +105,7 @@ func TestForSyncScope(t *testing.T) {
 	release := make(chan struct{})
 	var slowDone atomic.Bool
 	var loopSawSlow atomic.Bool
-	err := rt.Run(func(c *sched.Context) {
+	err := mustSubmit(t, rt, func(c *sched.Context) {
 		c.Spawn(func(*sched.Context) {
 			<-release
 			slowDone.Store(true)
@@ -102,7 +114,7 @@ func TestForSyncScope(t *testing.T) {
 		loopSawSlow.Store(slowDone.Load())
 		close(release)
 		c.Sync()
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,9 +182,9 @@ func TestQuickCoverage(t *testing.T) {
 		n := int(nRaw) % 3000
 		grain := int(grainRaw)%300 + 1
 		counts := make([]atomic.Int32, n)
-		err := rt.Run(func(c *sched.Context) {
+		err := mustSubmit(t, rt, func(c *sched.Context) {
 			ForGrain(c, 0, n, grain, func(_ *sched.Context, i int) { counts[i].Add(1) })
-		})
+		}).Wait()
 		if err != nil {
 			return false
 		}
@@ -194,9 +206,9 @@ func BenchmarkForOverhead(b *testing.B) {
 	s := make([]float64, 1<<16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := rt.Run(func(c *sched.Context) {
+		if err := mustSubmit(b, rt, func(c *sched.Context) {
 			For(c, 0, len(s), func(_ *sched.Context, j int) { s[j] = float64(j) * 1.5 })
-		}); err != nil {
+		}).Wait(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -206,12 +218,12 @@ func TestReduceSum(t *testing.T) {
 	rt := sched.New(sched.WithWorkers(8))
 	defer rt.Shutdown()
 	var got int64
-	err := rt.Run(func(c *sched.Context) {
+	err := mustSubmit(t, rt, func(c *sched.Context) {
 		got = Reduce(c, 1, 100001, hyper.FuncMonoid(
 			func() int64 { return 0 },
 			func(a, b int64) int64 { return a + b },
 		), func(_ *sched.Context, i int) int64 { return int64(i) })
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,12 +237,12 @@ func TestReduceOrderedConcat(t *testing.T) {
 	rt := sched.New(sched.WithWorkers(8))
 	defer rt.Shutdown()
 	var got []int
-	err := rt.Run(func(c *sched.Context) {
+	err := mustSubmit(t, rt, func(c *sched.Context) {
 		got = Reduce(c, 0, 500, hyper.FuncMonoid(
 			func() []int { return nil },
 			func(a, b []int) []int { return append(a, b...) },
 		), func(_ *sched.Context, i int) []int { return []int{i} })
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,12 +260,12 @@ func TestReduceEmptyRange(t *testing.T) {
 	rt := sched.New(sched.WithWorkers(2))
 	defer rt.Shutdown()
 	var got int
-	err := rt.Run(func(c *sched.Context) {
+	err := mustSubmit(t, rt, func(c *sched.Context) {
 		got = Reduce(c, 3, 3, hyper.FuncMonoid(
 			func() int { return 42 },
 			func(a, b int) int { return a + b },
 		), func(*sched.Context, int) int { return 1 })
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}

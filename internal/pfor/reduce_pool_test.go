@@ -23,9 +23,9 @@ func TestReducePooledReuse(t *testing.T) {
 		rt := sched.New(sched.WithWorkers(workers))
 		for trial := 0; trial < 20; trial++ {
 			var got int
-			if err := rt.Run(func(c *sched.Context) {
+			if err := mustSubmit(t, rt, func(c *sched.Context) {
 				got = Reduce(c, 0, 100, sumMonoid, func(c *sched.Context, i int) int { return i })
-			}); err != nil {
+			}).Wait(); err != nil {
 				t.Fatal(err)
 			}
 			if want := 99 * 100 / 2; got != want {
@@ -36,10 +36,10 @@ func TestReducePooledReuse(t *testing.T) {
 		// Two Reduces in one computation, same strand, same type: the second
 		// is the likeliest to be handed the first's pooled reducer back.
 		var first, second int
-		if err := rt.Run(func(c *sched.Context) {
+		if err := mustSubmit(t, rt, func(c *sched.Context) {
 			first = Reduce(c, 0, 50, sumMonoid, func(c *sched.Context, i int) int { return i })
 			second = Reduce(c, 0, 10, sumMonoid, func(c *sched.Context, i int) int { return i })
-		}); err != nil {
+		}).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		if first != 49*50/2 || second != 9*10/2 {
@@ -59,9 +59,9 @@ func TestReduceAllocs(t *testing.T) {
 	defer rt.Shutdown()
 	run := func(n int) func() {
 		return func() {
-			if err := rt.Run(func(c *sched.Context) {
+			if err := mustSubmit(t, rt, func(c *sched.Context) {
 				Reduce(c, 0, n, sumMonoid, func(c *sched.Context, i int) int { return i })
-			}); err != nil {
+			}).Wait(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -69,7 +69,7 @@ func TestReduceAllocs(t *testing.T) {
 	run(4096)() // warm the reducer/task/frame pools
 	small := testing.AllocsPerRun(50, run(256))
 	large := testing.AllocsPerRun(50, run(4096))
-	// The serial elision of a pooled Reduce costs the Run bookkeeping, the
+	// The serial elision of a pooled Reduce costs the per-run bookkeeping, the
 	// loop's spawn-tree closures/contexts (constant: the auto grain scales
 	// with n), and one view per strand segment — ~30 allocations in all.
 	// The bound has headroom for pool misses; what it must catch is a
@@ -93,9 +93,9 @@ func BenchmarkReduceIteration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var got int
-		if err := rt.Run(func(c *sched.Context) {
+		if err := mustSubmit(b, rt, func(c *sched.Context) {
 			got = Reduce(c, 0, n, sumMonoid, func(c *sched.Context, i int) int { return i })
-		}); err != nil {
+		}).Wait(); err != nil {
 			b.Fatal(err)
 		}
 		if got != n*(n-1)/2 {

@@ -1,6 +1,8 @@
 package race
 
 import (
+	"context"
+
 	"cilkgo/internal/cilklock"
 	"cilkgo/internal/sched"
 )
@@ -30,6 +32,9 @@ func checkWith(d *Detector, program func(c *sched.Context, d *Detector)) ([]Repo
 	cilklock.SetObserver(d)
 	defer cilklock.SetObserver(nil)
 	rt := sched.New(sched.WithSerialElision(), sched.WithHooks(d.Hooks()))
-	err := rt.Run(func(c *sched.Context) { program(c, d) })
+	tk, err := rt.Submit(context.Background(), func(c *sched.Context) { program(c, d) })
+	if err == nil {
+		err = tk.Wait()
+	}
 	return d.Reports(), err
 }

@@ -20,32 +20,32 @@ import (
 // join counter decremented — it is merely not executed), so sync still
 // means "all children have completed or been abandoned", reducer views
 // still fold in serial order, and the runtime's invariants hold for the
-// next Run.
+// next submission.
 //
 // The cancel gate is one per-run atomic bool, checked at the spawn, steal
 // (task-start), and per-chunk (internal/pfor) boundaries — the same
 // single-atomic-load gating pattern as the tracer, so the uncancelled hot
 // path stays within noise of a runtime without the layer.
 
-// Sentinel errors returned by Run/RunCtx. Each also matches its context
-// counterpart under errors.Is (ErrCanceled ↔ context.Canceled,
+// Sentinel errors reported by Submit and Ticket.Wait. Each also matches its
+// context counterpart under errors.Is (ErrCanceled ↔ context.Canceled,
 // ErrDeadlineExceeded ↔ context.DeadlineExceeded), so callers holding only
 // the context idiom need no new comparisons.
 var (
-	// ErrCanceled is returned by RunCtx when the computation was abandoned
-	// because its context was canceled.
+	// ErrCanceled reports that the computation was abandoned because its
+	// context was canceled.
 	ErrCanceled error = &cancelError{msg: "sched: computation canceled", is: context.Canceled}
-	// ErrDeadlineExceeded is returned by RunCtx when the computation was
-	// abandoned because its context's deadline passed.
+	// ErrDeadlineExceeded reports that the computation was abandoned
+	// because its context's deadline (or its WithTimeBudget) passed.
 	ErrDeadlineExceeded error = &cancelError{msg: "sched: computation deadline exceeded", is: context.DeadlineExceeded}
-	// ErrShutdown is returned by Run on a runtime that has been shut down,
-	// and by in-flight Runs that ShutdownDrain cancels at its drain
-	// deadline.
+	// ErrShutdown is returned by Submit on a runtime that has been shut
+	// down, and by Ticket.Wait for in-flight runs that ShutdownDrain
+	// cancels at its drain deadline.
 	ErrShutdown error = &cancelError{msg: "sched: runtime is shut down"}
 
 	// errSiblingPanic is the cancel cause installed when a strand panics:
 	// the rest of the run is abandoned while the panic is quarantined.
-	// Run reports the quarantined *PanicError itself, so this cause is
+	// Wait reports the quarantined *PanicError itself, so this cause is
 	// only observable mid-run via Context.Err.
 	errSiblingPanic = errors.New("sched: run canceled by a panicking sibling strand")
 )
@@ -93,7 +93,7 @@ func (rs *runState) cancelWith(cause error) {
 // load every check site pays.
 func (rs *runState) cancelled() bool { return rs.canceled.Load() }
 
-// err folds the run's terminal state into the error Run returns: a
+// err folds the run's terminal state into the error Wait returns: a
 // quarantined *PanicError if any strand panicked (carrying every sibling
 // panic), else the cancel cause, else nil.
 func (rs *runState) err() error {
@@ -132,7 +132,7 @@ func (c *Context) Cancelled() bool { return c.frame.run.cancelled() }
 
 // Err returns nil while the strand's run is live, and the cancellation
 // cause once it has been canceled: ErrCanceled, ErrDeadlineExceeded,
-// ErrShutdown, or an internal marker when a sibling strand panicked (Run
+// ErrShutdown, or an internal marker when a sibling strand panicked (Wait
 // itself reports the *PanicError).
 func (c *Context) Err() error {
 	rs := c.frame.run
@@ -142,39 +142,13 @@ func (c *Context) Err() error {
 	return rs.cause
 }
 
-// RunCtx is Run under a context: the computation is cooperatively canceled
-// when ctx is canceled or its deadline passes, and RunCtx then returns
-// ErrCanceled or ErrDeadlineExceeded. Cancellation is abandonment, not
-// interruption — strands already running finish their current grain (or
-// poll Context.Cancelled and bail), strands not yet started are skipped,
-// and RunCtx returns only after the run's outstanding work has drained, so
-// no strand of the computation is still executing when it returns.
-//
-// Run is exactly RunCtx(context.Background(), fn).
-//
-// Deprecated: use Submit — RunCtx(ctx, fn) is Submit(ctx, fn) followed by
-// Ticket.Wait (with submission-time errors folded into the same return).
-func (rt *Runtime) RunCtx(ctx context.Context, fn func(*Context)) error {
-	_, err := rt.run(ctx, fn, false)
-	return err
-}
-
-// RunWithStatsCtx is RunWithStats under a context, with RunCtx's
-// cancellation semantics. The returned Stats covers the work the
-// computation actually did before completing or being abandoned.
-//
-// Deprecated: use Submit with WithStats, then Ticket.Wait and Ticket.Stats.
-func (rt *Runtime) RunWithStatsCtx(ctx context.Context, fn func(*Context)) (Stats, error) {
-	return rt.run(ctx, fn, true)
-}
-
-// ShutdownDrain gracefully shuts the runtime down: new Runs are rejected
-// immediately (they return ErrShutdown), in-flight Runs are given at most
-// drain to finish, and any still running at the deadline are canceled with
-// ErrShutdown and abandoned cooperatively. ShutdownDrain returns after the
-// workers have exited; the result reports whether every in-flight Run
-// finished on its own (true) or the drain deadline forced cancellation
-// (false). A drain ≤ 0 cancels in-flight Runs immediately.
+// ShutdownDrain gracefully shuts the runtime down: new submissions are
+// rejected immediately (Submit returns ErrShutdown), in-flight runs are
+// given at most drain to finish, and any still running at the deadline are
+// canceled with ErrShutdown and abandoned cooperatively. ShutdownDrain
+// returns after the workers have exited; the result reports whether every
+// in-flight run finished on its own (true) or the drain deadline forced
+// cancellation (false). A drain ≤ 0 cancels in-flight runs immediately.
 //
 // Shutdown is ShutdownDrain with an unbounded drain. Both are idempotent
 // and safe to call concurrently; later calls simply wait for the workers.

@@ -27,10 +27,10 @@ func spinFib(c *Context, n int, delay time.Duration, leaves *atomic.Int64) {
 	c.Sync()
 }
 
-// TestRunCtxCancelDuringStealHeavyRun: cancelling mid-run returns
+// TestRunCtxCancelDuringStealHeavyRun: cancelling mid-run makes Wait return
 // ErrCanceled (matching context.Canceled under errors.Is), no strand of the
-// computation is still executing when RunCtx returns, and the runtime is
-// healthy for the next Run.
+// computation is still executing when Wait returns, and the runtime is
+// healthy for the next submission.
 func TestRunCtxCancelDuringStealHeavyRun(t *testing.T) {
 	rt := New(WithWorkers(4))
 	defer rt.Shutdown()
@@ -42,7 +42,10 @@ func TestRunCtxCancelDuringStealHeavyRun(t *testing.T) {
 		}
 		cancel()
 	}()
-	err := rt.RunCtx(ctx, func(c *Context) { spinFib(c, 22, 100*time.Microsecond, &leaves) })
+	tk, err := rt.Submit(ctx, func(c *Context) { spinFib(c, 22, 100*time.Microsecond, &leaves) })
+	if err == nil {
+		err = tk.Wait()
+	}
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -53,7 +56,7 @@ func TestRunCtxCancelDuringStealHeavyRun(t *testing.T) {
 	after := leaves.Load()
 	time.Sleep(20 * time.Millisecond)
 	if got := leaves.Load(); got != after {
-		t.Fatalf("leaves advanced from %d to %d after RunCtx returned", after, got)
+		t.Fatalf("leaves advanced from %d to %d after Wait returned", after, got)
 	}
 	full := fibSerial(22)
 	if after >= full {
@@ -61,7 +64,7 @@ func TestRunCtxCancelDuringStealHeavyRun(t *testing.T) {
 	}
 	// Fresh computation on the same runtime.
 	var out int64
-	if err := rt.Run(func(c *Context) { fib(c, 12, &out) }); err != nil {
+	if err := mustSubmit(t, rt, func(c *Context) { fib(c, 12, &out) }).Wait(); err != nil {
 		t.Fatalf("runtime unusable after cancel: %v", err)
 	}
 	if out != fibSerial(12) {
@@ -72,7 +75,7 @@ func TestRunCtxCancelDuringStealHeavyRun(t *testing.T) {
 	}
 }
 
-// TestRunCtxDeadline: a deadline cancels the run and RunCtx returns
+// TestRunCtxDeadline: a deadline cancels the run and Wait returns
 // ErrDeadlineExceeded, matching context.DeadlineExceeded.
 func TestRunCtxDeadline(t *testing.T) {
 	rt := New(WithWorkers(2))
@@ -81,7 +84,10 @@ func TestRunCtxDeadline(t *testing.T) {
 	defer cancel()
 	var leaves atomic.Int64
 	start := time.Now()
-	err := rt.RunCtx(ctx, func(c *Context) { spinFib(c, 30, 50*time.Microsecond, &leaves) })
+	tk, err := rt.Submit(ctx, func(c *Context) { spinFib(c, 30, 50*time.Microsecond, &leaves) })
+	if err == nil {
+		err = tk.Wait()
+	}
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -91,37 +97,23 @@ func TestRunCtxDeadline(t *testing.T) {
 	// fib(30) would take minutes at 50µs per leaf; the deadline must have
 	// abandoned it quickly.
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("RunCtx took %v after a 5ms deadline", elapsed)
+		t.Fatalf("run took %v after a 5ms deadline", elapsed)
 	}
 }
 
-// TestRunCtxPreCancelled: a context already done rejects the computation
-// without running any of it.
+// TestRunCtxPreCancelled: Submit rejects a context already done without
+// running any of the computation.
 func TestRunCtxPreCancelled(t *testing.T) {
 	rt := New(WithWorkers(2))
 	defer rt.Shutdown()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	if err := rt.RunCtx(ctx, func(*Context) { ran = true }); !errors.Is(err, ErrCanceled) {
+	if _, err := rt.Submit(ctx, func(*Context) { ran = true }); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	if ran {
 		t.Fatal("fn ran under a pre-cancelled context")
-	}
-}
-
-// TestRunCtxBackgroundEquivalence: Run and RunCtx(Background) behave
-// identically on success.
-func TestRunCtxBackgroundEquivalence(t *testing.T) {
-	rt := New(WithWorkers(2))
-	defer rt.Shutdown()
-	var out int64
-	if err := rt.RunCtx(context.Background(), func(c *Context) { fib(c, 15, &out) }); err != nil {
-		t.Fatal(err)
-	}
-	if out != fibSerial(15) {
-		t.Fatalf("fib = %d, want %d", out, fibSerial(15))
 	}
 }
 
@@ -132,7 +124,7 @@ func TestContextCancelledPolling(t *testing.T) {
 	defer rt.Shutdown()
 	ctx, cancel := context.WithCancel(context.Background())
 	sawErr := make(chan error, 1)
-	err := rt.RunCtx(ctx, func(c *Context) {
+	tk, err := rt.Submit(ctx, func(c *Context) {
 		if c.Cancelled() || c.Err() != nil {
 			t.Error("fresh run already cancelled")
 		}
@@ -142,7 +134,10 @@ func TestContextCancelledPolling(t *testing.T) {
 		}
 		sawErr <- c.Err()
 	})
-	if !errors.Is(err, ErrCanceled) {
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tk.Wait(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	if got := <-sawErr; !errors.Is(got, ErrCanceled) {
@@ -157,7 +152,7 @@ func TestPanicQuarantineCollectsSiblings(t *testing.T) {
 	rt := New(WithWorkers(4))
 	defer rt.Shutdown()
 	const siblings = 8
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		for i := 0; i < siblings; i++ {
 			i := i
 			c.Spawn(func(*Context) {
@@ -165,7 +160,7 @@ func TestPanicQuarantineCollectsSiblings(t *testing.T) {
 			})
 		}
 		c.Sync()
-	})
+	}).Wait()
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -179,9 +174,9 @@ func TestPanicQuarantineCollectsSiblings(t *testing.T) {
 	if len(pe.All[0].Stack) == 0 {
 		t.Fatal("first panic captured no stack")
 	}
-	// The panic must not poison the next Run.
+	// The panic must not poison the next run.
 	var out int64
-	if err := rt.Run(func(c *Context) { fib(c, 12, &out) }); err != nil {
+	if err := mustSubmit(t, rt, func(c *Context) { fib(c, 12, &out) }).Wait(); err != nil {
 		t.Fatalf("runtime unusable after quarantine: %v", err)
 	}
 	if out != fibSerial(12) {
@@ -198,24 +193,21 @@ func TestPanicQuarantineCollectsSiblings(t *testing.T) {
 func TestShutdownDrainCancelsInFlight(t *testing.T) {
 	rt := New(WithWorkers(2))
 	started := make(chan struct{})
-	errc := make(chan error, 1)
-	go func() {
-		errc <- rt.Run(func(c *Context) {
-			close(started)
-			for !c.Cancelled() {
-				time.Sleep(50 * time.Microsecond)
-			}
-		})
-	}()
+	tk := mustSubmit(t, rt, func(c *Context) {
+		close(started)
+		for !c.Cancelled() {
+			time.Sleep(50 * time.Microsecond)
+		}
+	})
 	<-started
 	if drained := rt.ShutdownDrain(time.Millisecond); drained {
 		t.Error("ShutdownDrain reported a clean drain while a run was spinning")
 	}
-	if err := <-errc; !errors.Is(err, ErrShutdown) {
-		t.Fatalf("in-flight Run returned %v, want ErrShutdown", err)
+	if err := tk.Wait(); !errors.Is(err, ErrShutdown) {
+		t.Fatalf("in-flight run returned %v, want ErrShutdown", err)
 	}
-	if err := rt.Run(func(*Context) {}); !errors.Is(err, ErrShutdown) {
-		t.Fatalf("Run after shutdown returned %v, want ErrShutdown", err)
+	if _, err := rt.Submit(context.Background(), func(*Context) {}); !errors.Is(err, ErrShutdown) {
+		t.Fatalf("Submit after shutdown returned %v, want ErrShutdown", err)
 	}
 }
 
@@ -224,24 +216,21 @@ func TestShutdownDrainCancelsInFlight(t *testing.T) {
 func TestShutdownDrainWaitsForFastRuns(t *testing.T) {
 	rt := New(WithWorkers(2))
 	started := make(chan struct{})
-	errc := make(chan error, 1)
-	go func() {
-		errc <- rt.Run(func(c *Context) {
-			close(started)
-			var out int64
-			fib(c, 14, &out)
-		})
-	}()
+	tk := mustSubmit(t, rt, func(c *Context) {
+		close(started)
+		var out int64
+		fib(c, 14, &out)
+	})
 	<-started
 	if drained := rt.ShutdownDrain(30 * time.Second); !drained {
 		t.Error("ShutdownDrain cancelled a run that should have finished in time")
 	}
-	if err := <-errc; err != nil {
-		t.Fatalf("in-flight Run returned %v, want nil", err)
+	if err := tk.Wait(); err != nil {
+		t.Fatalf("in-flight run returned %v, want nil", err)
 	}
 }
 
-// TestShutdownRacingRuns: Run calls racing Shutdown either complete
+// TestShutdownRacingRuns: submissions racing Shutdown either complete
 // normally or are rejected with ErrShutdown — nothing hangs, nothing
 // panics, and the workers exit.
 func TestShutdownRacingRuns(t *testing.T) {
@@ -255,7 +244,11 @@ func TestShutdownRacingRuns(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = rt.Run(func(c *Context) { fib(c, 10+i%5, &outs[i]) })
+			tk, err := rt.Submit(context.Background(), func(c *Context) { fib(c, 10+i%5, &outs[i]) })
+			if err == nil {
+				err = tk.Wait()
+			}
+			errs[i] = err
 		}()
 	}
 	time.Sleep(time.Duration(runs/2) * 100 * time.Microsecond)
@@ -298,13 +291,13 @@ func TestSerialElisionCancellation(t *testing.T) {
 	rt := New(WithSerialElision())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := rt.RunCtx(ctx, func(*Context) {}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("pre-cancelled serial RunCtx = %v, want ErrCanceled", err)
+	if _, err := rt.Submit(ctx, func(*Context) {}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("pre-cancelled serial Submit = %v, want ErrCanceled", err)
 	}
 	// Polled cancellation mid-run: spawns after the cancel are elided.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	ran := 0
-	err := rt.RunCtx(ctx2, func(c *Context) {
+	tk, err := rt.Submit(ctx2, func(c *Context) {
 		c.Spawn(func(*Context) { ran++ })
 		cancel2()
 		for !c.Cancelled() {
@@ -313,15 +306,22 @@ func TestSerialElisionCancellation(t *testing.T) {
 		c.Spawn(func(*Context) { ran++ })
 		c.Sync()
 	})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("serial RunCtx = %v, want ErrCanceled", err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tk.Wait(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("serial Wait = %v, want ErrCanceled", err)
 	}
 	if ran != 1 {
 		t.Fatalf("ran = %d, want 1 (second spawn elided)", ran)
 	}
 	rt.Shutdown()
-	if err := rt.Run(func(*Context) {}); !errors.Is(err, ErrShutdown) {
-		t.Fatalf("serial Run after Shutdown = %v, want ErrShutdown", err)
+	tk, err = rt.Submit(context.Background(), func(*Context) {})
+	if err == nil {
+		err = tk.Wait()
+	}
+	if !errors.Is(err, ErrShutdown) {
+		t.Fatalf("serial run after Shutdown = %v, want ErrShutdown", err)
 	}
 }
 
@@ -333,7 +333,7 @@ func TestCancelTraceEvents(t *testing.T) {
 	defer rt.Shutdown()
 	rt.Tracer().Start()
 	ctx, cancel := context.WithCancel(context.Background())
-	err := rt.RunCtx(ctx, func(c *Context) {
+	tk, err := rt.Submit(ctx, func(c *Context) {
 		// Fill the single worker's deque, then cancel: everything still
 		// queued must be skipped, not run.
 		for i := 0; i < 64; i++ {
@@ -345,10 +345,13 @@ func TestCancelTraceEvents(t *testing.T) {
 		}
 		c.Sync()
 	})
-	if !errors.Is(err, ErrCanceled) {
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tk.Wait(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	rt.Run(func(*Context) { panic("traced boom") })
+	mustSubmit(t, rt, func(*Context) { panic("traced boom") }).Wait()
 	tr := rt.Tracer().Stop()
 	skips, panics := 0, 0
 	for _, events := range tr.Workers {
@@ -375,7 +378,7 @@ func TestRunWithStatsCtxSkippedAccounting(t *testing.T) {
 	rt := New(WithWorkers(1))
 	defer rt.Shutdown()
 	ctx, cancel := context.WithCancel(context.Background())
-	s, err := rt.RunWithStatsCtx(ctx, func(c *Context) {
+	tk, err := rt.Submit(ctx, func(c *Context) {
 		for i := 0; i < 32; i++ {
 			c.Spawn(func(*Context) {})
 		}
@@ -384,8 +387,12 @@ func TestRunWithStatsCtxSkippedAccounting(t *testing.T) {
 			time.Sleep(10 * time.Microsecond)
 		}
 		c.Sync()
-	})
-	if !errors.Is(err, ErrCanceled) {
+	}, WithStats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := tk.Stats()
+	if err := tk.Wait(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	if s.TasksSkipped == 0 {

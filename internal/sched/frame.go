@@ -328,19 +328,19 @@ type Finalizer interface {
 	Finalize(v View)
 }
 
-// runState tracks one Run invocation: completion signaling, the
-// cooperative cancel gate, quarantined panics, and (for RunWithStats)
+// runState tracks one submitted run: completion signaling, the
+// cooperative cancel gate, quarantined panics, and (with WithStats)
 // per-computation counters.
 type runState struct {
-	// id identifies the Run invocation, so trace events of concurrent
+	// id identifies the run, so trace events of concurrent
 	// computations sharing the workers can be told apart.
 	id    int64
 	rt    *Runtime
-	stats *runCounters // nil unless submitted via RunWithStats
+	stats *runCounters // nil unless submitted WithStats (or observed or budgeted)
 	done  chan struct{}
 
 	// canceled is the cooperative cancel gate checked at the spawn,
-	// task-start, and per-chunk boundaries. cause is the error Run will
+	// task-start, and per-chunk boundaries. cause is the error Wait will
 	// report; it is written (once) before canceled is raised, so any
 	// strand observing canceled==true also observes cause.
 	canceled   atomic.Bool
@@ -361,8 +361,10 @@ type runState struct {
 
 	// Serving-layer identity and lifecycle (see submit.go). tenant, qos,
 	// prio, and memEst echo the submission's options; enqNs/pickedNs are
-	// the root's lane enqueue and pickup timestamps (rt.nanots), pickedNs
-	// zero until pickup. picked is the admission state machine's
+	// the root's enqueue and pickup timestamps (rt.nanots). enqNs is written
+	// before the root is published; pickedNs is zero until pickup and atomic
+	// because Ticket.QueueLatency may read it while the picking worker
+	// stores it. picked is the admission state machine's
 	// queued→running flag, guarded by the admission mutex. stop (the
 	// context watcher plus any time-budget cancel) is installed before the
 	// root is published and released exactly once via releaseOnce —
@@ -372,7 +374,7 @@ type runState struct {
 	prio        int
 	memEst      int64
 	enqNs       int64
-	pickedNs    int64
+	pickedNs    atomic.Int64
 	picked      bool
 	stop        func()
 	releaseOnce sync.Once
@@ -407,10 +409,11 @@ type runState struct {
 // TestQueueLatencySerialElision pins it). The pickedNs < enqNs guard keeps a
 // clock anomaly from ever reporting a negative wait.
 func (rs *runState) queueLatency() time.Duration {
-	if rs.pickedNs == 0 || rs.pickedNs < rs.enqNs {
+	picked := rs.pickedNs.Load()
+	if picked == 0 || picked < rs.enqNs {
 		return 0
 	}
-	return time.Duration(rs.pickedNs - rs.enqNs)
+	return time.Duration(picked - rs.enqNs)
 }
 
 // release stops the run's context watcher and returns its admission

@@ -1,25 +1,18 @@
 package sched
 
-// This file is the serving-side injection path: per-worker sharded lanes of
-// root tasks, each lane holding one queue per QoS class, drained by weighted
-// deficit round-robin (DRR).
-//
-// Why sharded: one global FIFO guarded by the runtime mutex made every idle
-// probe of every worker serialize on that mutex, and made a flood of cheap
-// best-effort submissions head-of-line-block an interactive one behind
-// thousands of queue positions. Lanes shard the submission path — a
-// submitting goroutine contends only with submitters hashed to the same lane
-// plus that lane's drainers — and tenant-hashed placement keeps a tenant's
-// roots landing on the lane of the worker most recently warm with its state
-// (the serving analogue of localized work stealing). Any idle worker sweeps
-// all lanes starting at its own, so placement is an affinity hint, never a
-// partition: work on one lane is visible to every worker.
+// This file is the serving-side injection path: one queue of root tasks per
+// QoS class, drained by weighted deficit round-robin (DRR). Every submitter
+// pushes into the same queue and every idle worker pops from it, so DRR
+// weights and WithPriority order hold across all workers. Submit already
+// serializes on rt.mu, so one queue costs the submission path nothing; the
+// queue's own lock is the only cross-section between a submitter and an idle
+// worker (DESIGN.md §4f).
 //
 // Why DRR: each class carries a weight (interactive 8, batch 4, best-effort
-// 1). A lane's pop visits classes round-robin; a class must accumulate
-// `weight` credits (deficit) before the rotor moves on, and each popped root
-// costs one credit. Under backlog in all classes the service ratio converges
-// to exactly 8:4:1 regardless of arrival order or flood depth, and an empty
+// 1). pop visits classes round-robin; a class must accumulate `weight`
+// credits (deficit) before the rotor moves on, and each popped root costs
+// one credit. Under backlog in all classes the service ratio converges to
+// exactly 8:4:1 regardless of arrival order or flood depth, and an empty
 // class forfeits its credits (deficit resets to zero) so an idle class can
 // never bank credit and then burst-starve the others. Classic DRR with
 // cost-1 packets; DESIGN.md §4f works the math.
@@ -67,11 +60,9 @@ func ParseQoS(s string) (QoSClass, bool) {
 	return QoSBatch, false
 }
 
-// injectLane is one shard of the root-injection queue: a per-class FIFO plus
-// the lane's DRR rotor state. Lanes are locked independently of rt.mu;
-// submitters take rt.mu → lane.mu (in that order, see Submit) while drainers
-// take lane.mu alone, so the lane lock is the only cross-section between a
-// submitting goroutine and an idle worker's sweep.
+// injectLane is the root-injection queue: a per-class FIFO plus the DRR
+// rotor state. Its lock is independent of rt.mu: submitters take rt.mu →
+// l.mu (in that order, see Submit) while drainers take l.mu alone.
 type injectLane struct {
 	mu      sync.Mutex
 	q       [numQoS][]*task
@@ -101,7 +92,7 @@ func (l *injectLane) push(t *task, cls QoSClass, prio int) {
 func rootPrio(t *task) int { return t.frame.run.prio }
 
 // pop removes and returns the next root task by deficit round-robin, or nil
-// if the lane is empty. Each popped root costs one credit against its
+// if the queue is empty. Each popped root costs one credit against its
 // class's deficit; a class visited while empty forfeits its accumulated
 // credit, so weights bound *service* under backlog without letting an idle
 // class bank a burst.
@@ -134,59 +125,12 @@ func (l *injectLane) pop() *task {
 	return nil
 }
 
-// size returns the number of queued roots in the lane.
-func (l *injectLane) size() int {
+// lens returns the number of queued roots in each class.
+func (l *injectLane) lens() (n [numQoS]int) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for c := 0; c < numQoS; c++ {
-		n += len(l.q[c])
+	for c := range n {
+		n[c] = len(l.q[c])
 	}
-	return n
-}
-
-// laneHash maps a tenant label to a lane deterministically: FNV-1a over
-// the label with the runtime's steal seed folded into the offset basis.
-// The previous implementation hashed with a process-random
-// maphash.MakeSeed(), so tenant→lane placement differed on every run —
-// which broke schedfuzz's "a trial is a pure function of its seed"
-// contract and made WithStealSeed reproductions place tenants on different
-// lanes than the run being reproduced. Two runtimes built with the same
-// steal seed now agree on placement across processes and restarts
-// (TestLaneHashDeterministic pins this).
-func laneHash(seed int64, tenant string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64) ^ uint64(seed)*0x9e3779b97f4a7c15
-	for i := 0; i < len(tenant); i++ {
-		h ^= uint64(tenant[i])
-		h *= prime64
-	}
-	return h
-}
-
-// laneFor picks the lane a submission lands on: tenant-hashed for labeled
-// submissions (a tenant's roots keep hitting the lane of the worker warm
-// with its state), round-robin for anonymous ones.
-func (rt *Runtime) laneFor(tenant string) *injectLane {
-	n := len(rt.lanes)
-	if n == 1 {
-		return rt.lanes[0]
-	}
-	if tenant != "" {
-		return rt.lanes[laneHash(rt.cfg.stealSeed, tenant)%uint64(n)]
-	}
-	return rt.lanes[uint64(rt.laneRR.Add(1))%uint64(n)]
-}
-
-// queuedRoots counts queued roots across all lanes (the slow, exact
-// counterpart of the rt.injected fast-path gauge; used by diagnostics).
-func (rt *Runtime) queuedRoots() int {
-	n := 0
-	for _, l := range rt.lanes {
-		n += l.size()
-	}
+	l.mu.Unlock()
 	return n
 }

@@ -2,12 +2,14 @@ package sched
 
 import (
 	"context"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// laneTask builds a bare root task for lane unit tests — no runtime, just
+// laneTask builds a bare root task for queue unit tests — no runtime, just
 // the frame.run fields push/pop read.
 func laneTask(cls QoSClass, prio int) *task {
 	rs := &runState{qos: cls, prio: prio}
@@ -59,7 +61,7 @@ func TestLaneDRRWeights(t *testing.T) {
 		for i := 0; i < cycle; i++ {
 			tk := l.pop()
 			if tk == nil {
-				t.Fatalf("cycle %d: lane ran dry after %d pops", cy, i)
+				t.Fatalf("cycle %d: queue ran dry after %d pops", cy, i)
 			}
 			got[tk.frame.run.qos]++
 		}
@@ -87,7 +89,7 @@ func TestLanePriorityWithinClass(t *testing.T) {
 		}
 	}
 	if l.pop() != nil {
-		t.Fatal("lane not empty after draining")
+		t.Fatal("queue not empty after draining")
 	}
 }
 
@@ -130,78 +132,14 @@ func TestLaneEmptyClassForfeitsDeficit(t *testing.T) {
 	}
 }
 
-// TestLaneForPlacement: tenant-labeled submissions hash to a stable lane;
-// anonymous ones round-robin across every lane.
-func TestLaneForPlacement(t *testing.T) {
-	rt := New(WithWorkers(4))
-	defer rt.Shutdown()
-	l := rt.laneFor("tenant-a")
-	for i := 0; i < 8; i++ {
-		if rt.laneFor("tenant-a") != l {
-			t.Fatal("tenant lane placement is not stable")
-		}
-	}
-	seen := map[*injectLane]bool{}
-	for i := 0; i < 64; i++ {
-		seen[rt.laneFor("")] = true
-	}
-	if len(seen) != len(rt.lanes) {
-		t.Fatalf("round-robin placement hit %d of %d lanes", len(seen), len(rt.lanes))
-	}
-}
-
-// TestLaneHashDeterministic: tenant→lane placement is a pure function of
-// the steal seed and the tenant label. Two runtimes built with the same seed
-// must agree on every tenant's lane index; this used to be violated by a
-// process-random maphash seed, which broke schedfuzz's trial-reproducibility
-// contract and WithStealSeed reproductions. Different seeds must be able to
-// disagree (the seed actually feeds the hash), and the placement spreads
-// across lanes rather than collapsing onto one.
-func TestLaneHashDeterministic(t *testing.T) {
-	tenants := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
-	laneIdx := func(rt *Runtime, tenant string) int {
-		l := rt.laneFor(tenant)
-		for i, cand := range rt.lanes {
-			if cand == l {
-				return i
-			}
-		}
-		t.Fatalf("laneFor(%q) returned an unknown lane", tenant)
-		return -1
-	}
-	a := New(WithWorkers(8), WithStealSeed(42))
-	b := New(WithWorkers(8), WithStealSeed(42))
-	defer a.Shutdown()
-	defer b.Shutdown()
-	seen := map[int]bool{}
-	for _, tenant := range tenants {
-		ia, ib := laneIdx(a, tenant), laneIdx(b, tenant)
-		if ia != ib {
-			t.Fatalf("same-seed runtimes place %q on lanes %d vs %d", tenant, ia, ib)
-		}
-		seen[ia] = true
-	}
-	if len(seen) < 2 {
-		t.Fatalf("all %d tenants collapsed onto one lane", len(tenants))
-	}
-	// The raw hash is stable across processes too (no process randomness):
-	// pin one value so any accidental reseeding breaks loudly.
-	if got := laneHash(42, "alpha"); got != 0xfbad89e016cdcd09 {
-		t.Fatalf("laneHash(42, alpha) = %#x, want 0xfbad89e016cdcd09 — placement no longer stable across processes", got)
-	}
-	if laneHash(42, "alpha") == laneHash(43, "alpha") && laneHash(42, "beta") == laneHash(43, "beta") {
-		t.Fatal("steal seed does not feed the lane hash")
-	}
-}
-
-// TestInteractiveNotStarvedByFlood: end-to-end DRR. One worker, its lane
+// TestInteractiveNotStarvedByFlood: end-to-end DRR. One worker, the queue
 // pre-loaded with a deep best-effort backlog; an interactive submission must
 // be picked up within the first DRR cycle or two, not after the flood.
 func TestInteractiveNotStarvedByFlood(t *testing.T) {
 	rt := New(WithWorkers(1))
 	defer rt.Shutdown()
 
-	// Block the only worker so submissions pile up in the lane.
+	// Block the only worker so submissions pile up in the queue.
 	gate := make(chan struct{})
 	blocker, err := rt.Submit(context.Background(), func(*Context) { <-gate })
 	if err != nil {
@@ -240,7 +178,7 @@ func TestInteractiveNotStarvedByFlood(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The single lane's rotor serves at most weight(batch)+weight(best-effort)
+	// The queue's rotor serves at most weight(batch)+weight(best-effort)
 	// pops before reaching the interactive class again; allow slack for where
 	// the rotor happened to sit, but the flood must not drain first.
 	if pos := interactivePos.Load(); pos > 16 {
@@ -251,29 +189,117 @@ func TestInteractiveNotStarvedByFlood(t *testing.T) {
 	}
 }
 
-// TestQueuedByClassGauge: the per-class queued gauges rise while roots wait
-// and return to zero at drain.
+// drainOnOneWorker queues flood roots submitted with floodOpts and then one
+// probe root submitted with probeOpts on a two-worker runtime whose workers
+// are both held in roots gated by c.WorkerID(), then frees only worker 0, so
+// one worker drains the whole queue while the other stays busy. It returns
+// the probe's 1-based finish position among the flood+1 queued roots.
+func drainOnOneWorker(t *testing.T, flood int, floodOpts, probeOpts []RunOption) int64 {
+	rt := New(WithWorkers(2))
+	defer rt.Shutdown()
+	gates := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	var holding sync.WaitGroup
+	holding.Add(len(gates))
+	var holders []*Ticket
+	for range gates {
+		holders = append(holders, mustSubmit(t, rt, func(c *Context) {
+			holding.Done()
+			<-gates[c.WorkerID()]
+		}))
+	}
+	holding.Wait()
+
+	var finished, probePos atomic.Int64
+	tks := make([]*Ticket, 0, flood+1)
+	for i := 0; i < flood; i++ {
+		tks = append(tks, mustSubmit(t, rt, func(*Context) { finished.Add(1) }, floodOpts...))
+	}
+	tks = append(tks, mustSubmit(t, rt, func(*Context) { probePos.Store(finished.Add(1)) }, probeOpts...))
+	// t.Error, not t.Fatal, until gates[1] is closed: the deferred Shutdown
+	// would otherwise wait forever on worker 1's held root.
+	close(gates[0])
+	for _, tk := range tks {
+		if err := tk.Wait(); err != nil {
+			t.Error(err)
+		}
+	}
+	close(gates[1])
+	for _, tk := range holders {
+		if err := tk.Wait(); err != nil {
+			t.Error(err)
+		}
+	}
+	return probePos.Load()
+}
+
+// TestInteractiveNotStarvedAcrossWorkers: DRR holds across workers, not only
+// within one. The tenants are examples/serve's demo pair, and whichever
+// worker drains the queue must reach the interactive root within a DRR
+// cycle or two of the best-effort flood.
+func TestInteractiveNotStarvedAcrossWorkers(t *testing.T) {
+	const flood = 200
+	pos := drainOnOneWorker(t, flood,
+		[]RunOption{WithQoS(QoSBestEffort), WithTenant("free")},
+		[]RunOption{WithQoS(QoSInteractive), WithTenant("pro")})
+	if pos > 16 {
+		t.Fatalf("interactive root finished at position %d of %d — starved by a best-effort flood on another worker's share", pos, flood+1)
+	}
+}
+
+// TestHighPriorityNotStarvedAcrossWorkers: WithPriority orders a class's
+// roots across workers too — the priority-10 root runs before every queued
+// default-priority root of its class, whichever worker picks it up.
+func TestHighPriorityNotStarvedAcrossWorkers(t *testing.T) {
+	const flood = 50
+	pos := drainOnOneWorker(t, flood,
+		[]RunOption{WithTenant("free")},
+		[]RunOption{WithTenant("pro"), WithPriority(10)})
+	if pos != 1 {
+		t.Fatalf("priority-10 root finished at position %d of %d, want 1", pos, flood+1)
+	}
+}
+
+// TestQueueLatencyWhileInFlight: QueueLatency may be read while the root is
+// being picked up (the race detector checks the pickup timestamp's
+// publication), and it reads 0 until pickup and the final wait after.
+func TestQueueLatencyWhileInFlight(t *testing.T) {
+	rt := New(WithWorkers(2))
+	defer rt.Shutdown()
+	const n = 200
+	tks := make([]*Ticket, n)
+	early := make([]time.Duration, n)
+	for i := range tks {
+		tks[i] = mustSubmit(t, rt, func(*Context) {})
+		early[i] = tks[i].QueueLatency()
+	}
+	for i, tk := range tks {
+		if err := tk.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if late := tk.QueueLatency(); early[i] != 0 && early[i] != late {
+			t.Fatalf("root %d: QueueLatency read %v in flight and %v after Wait", i, early[i], late)
+		}
+	}
+}
+
+// TestQueuedByClassGauge: Metrics and LoadReport count queued roots per
+// class while they wait, and report zero once the queue drains.
 func TestQueuedByClassGauge(t *testing.T) {
 	rt := New(WithWorkers(1))
 	defer rt.Shutdown()
 	gate := make(chan struct{})
-	blocker, err := rt.Submit(context.Background(), func(*Context) { <-gate })
-	if err != nil {
-		t.Fatal(err)
-	}
+	blocker := mustSubmit(t, rt, func(*Context) { <-gate })
+	waitPicked(t, rt, blocker)
 	var tks []*Ticket
 	for i := 0; i < 3; i++ {
-		tk, err := rt.Submit(context.Background(), func(*Context) {}, WithQoS(QoSBestEffort))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tks = append(tks, tk)
-	}
-	if n := rt.queuedByClass[QoSBestEffort].Load(); n != 3 {
-		t.Fatalf("queuedByClass[best-effort] = %d, want 3", n)
+		tks = append(tks, mustSubmit(t, rt, func(*Context) {}, WithQoS(QoSBestEffort)))
 	}
 	if n := rt.Metrics()["queued_best_effort"]; n != 3 {
 		t.Fatalf("Metrics queued_best_effort = %d, want 3", n)
+	}
+	lr := rt.LoadReport()
+	if n := lr.QueuedByClass["best-effort"]; n != 3 || lr.Queued != 3 {
+		t.Fatalf("LoadReport Queued = %d, QueuedByClass[best-effort] = %d, want 3 and 3", lr.Queued, n)
 	}
 	close(gate)
 	if err := blocker.Wait(); err != nil {
@@ -284,16 +310,14 @@ func TestQueuedByClassGauge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for rt.injected.Load() != 0 {
-		if !time.Now().Before(deadline) {
-			t.Fatalf("injected gauge stuck at %d after drain", rt.injected.Load())
+	m, lr := rt.Metrics(), rt.LoadReport()
+	for c := QoSClass(0); c < numQoS; c++ {
+		key := "queued_" + strings.ReplaceAll(c.String(), "-", "_")
+		if m[key] != 0 || lr.QueuedByClass[c.String()] != 0 {
+			t.Fatalf("%v after drain: Metrics %s = %d, LoadReport = %d, want 0", c, key, m[key], lr.QueuedByClass[c.String()])
 		}
-		time.Sleep(time.Millisecond)
 	}
-	for c := 0; c < numQoS; c++ {
-		if n := rt.queuedByClass[c].Load(); n != 0 {
-			t.Fatalf("queuedByClass[%v] = %d after drain, want 0", QoSClass(c), n)
-		}
+	if lr.Queued != 0 || m["inject_queued"] != 0 {
+		t.Fatalf("after drain: LoadReport.Queued = %d, inject_queued = %d, want 0", lr.Queued, m["inject_queued"])
 	}
 }

@@ -42,14 +42,14 @@ func TestRangeExactlyOnceStealHeavy(t *testing.T) {
 	} {
 		counts := make([]int32, tc.n)
 		var sum atomic.Int64
-		err := rt.Run(func(c *Context) {
+		err := mustSubmit(t, rt, func(c *Context) {
 			loopRange(c, 0, tc.n, tc.grain, func(c *Context, l, h int) {
 				for i := l; i < h; i++ {
 					atomic.AddInt32(&counts[i], 1)
 					sum.Add(int64(i))
 				}
 			})
-		})
+		}).Wait()
 		if err != nil {
 			t.Fatalf("n=%d grain=%d: %v", tc.n, tc.grain, err)
 		}
@@ -72,7 +72,7 @@ func TestRangeExactlyOnceWithSpawns(t *testing.T) {
 	const n = 20_000
 	counts := make([]int32, n)
 	var children atomic.Int64
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		loopRange(c, 0, n, 5, func(c *Context, l, h int) {
 			for i := l; i < h; i++ {
 				atomic.AddInt32(&counts[i], 1)
@@ -82,7 +82,7 @@ func TestRangeExactlyOnceWithSpawns(t *testing.T) {
 			}
 			c.Sync()
 		})
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRangeExactlyOnceNestedLoops(t *testing.T) {
 	defer rt.Shutdown()
 	const rows, cols = 150, 40
 	counts := make([]int32, rows*cols)
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		loopRange(c, 0, rows, 2, func(c *Context, l, h int) {
 			for i := l; i < h; i++ {
 				row := i
@@ -112,7 +112,7 @@ func TestRangeExactlyOnceNestedLoops(t *testing.T) {
 				})
 			}
 		})
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestRangeExactlyOnceSequentialLoops(t *testing.T) {
 	const n = 5_000
 	a := make([]int32, n)
 	b := make([]int32, n)
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		c.Call(func(c *Context) {
 			c.LoopRange(0, n, 8, func(c *Context, l, h int) {
 				for i := l; i < h; i++ {
@@ -142,7 +142,7 @@ func TestRangeExactlyOnceSequentialLoops(t *testing.T) {
 				}
 			})
 		})
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestRangeExactlyOnceSequentialLoops(t *testing.T) {
 // TestRangeExactlyOnceCancelled: under cancellation the protocol weakens to
 // at-most-once — skipped chunks are fine, double-run chunks are not — and
 // the run must still drain completely: no iteration may execute after
-// RunCtx returns (every in-flight chunk is covered by a join unit).
+// Wait returns (every in-flight chunk is covered by a join unit).
 func TestRangeExactlyOnceCancelled(t *testing.T) {
 	rt := New(WithWorkers(8))
 	defer rt.Shutdown()
@@ -162,7 +162,7 @@ func TestRangeExactlyOnceCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var started atomic.Int64
-	err := rt.RunCtx(ctx, func(c *Context) {
+	tk, err := rt.Submit(ctx, func(c *Context) {
 		loopRange(c, 0, n, 8, func(c *Context, l, h int) {
 			for i := l; i < h; i++ {
 				if started.Add(1) == 256 {
@@ -175,7 +175,10 @@ func TestRangeExactlyOnceCancelled(t *testing.T) {
 			}
 		})
 	})
-	if !errors.Is(err, ErrCanceled) {
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tk.Wait(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	ran := 0
@@ -216,11 +219,12 @@ func TestLoopTaskCreationReduction(t *testing.T) {
 	best := int64(1 << 62)
 	for trial := 0; trial < 3; trial++ {
 		var total atomic.Int64
-		st, err := rt.RunWithStats(func(c *Context) {
+		tk := mustSubmit(t, rt, func(c *Context) {
 			loopRange(c, 0, n, grain, func(c *Context, l, h int) {
 				total.Add(int64(h - l))
 			})
-		})
+		}, WithStats())
+		st, err := tk.Stats(), tk.Wait()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +256,7 @@ func TestLoopTraceEvents(t *testing.T) {
 	defer rt.Shutdown()
 	const n = 50_000
 	rt.Tracer().Start()
-	st, err := rt.RunWithStats(func(c *Context) {
+	tk := mustSubmit(t, rt, func(c *Context) {
 		loopRange(c, 0, n, 16, func(c *Context, l, h int) {
 			x := 0
 			for i := l; i < h; i++ {
@@ -260,7 +264,8 @@ func TestLoopTraceEvents(t *testing.T) {
 			}
 			_ = x
 		})
-	})
+	}, WithStats())
+	st, err := tk.Stats(), tk.Wait()
 	tr := rt.Tracer().Stop()
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +309,7 @@ func TestViewCacheSealBoundary(t *testing.T) {
 	rt := New(WithWorkers(2))
 	defer rt.Shutdown()
 	key := new(int)
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		v1 := &orderView{xs: []int{1}}
 		c.InstallView(key, v1)
 		if got := c.LookupView(key); got != v1 {
@@ -324,7 +329,7 @@ func TestViewCacheSealBoundary(t *testing.T) {
 		if !ok || !reflect.DeepEqual(got.xs, []int{1, 2}) {
 			t.Errorf("post-fold view = %+v, want segments merged in serial order [1 2]", got)
 		}
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +341,7 @@ func TestDropView(t *testing.T) {
 	rt := New(WithWorkers(1))
 	defer rt.Shutdown()
 	key := new(int)
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		v := &orderView{xs: []int{1}}
 		c.InstallView(key, v)
 		c.LookupView(key) // warm the cache
@@ -344,7 +349,7 @@ func TestDropView(t *testing.T) {
 		if got := c.LookupView(key); got != nil {
 			t.Errorf("LookupView after DropView = %v, want nil", got)
 		}
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,8 +56,8 @@ type RunReport struct {
 	// *PanicError.
 	Err error
 	// Tenant and Class echo the submission's WithTenant/WithQoS options
-	// ("" and QoSBatch for the legacy Run entry points); Queued is how long
-	// the root waited in its injection lane before pickup.
+	// ("" and QoSBatch by default); Queued is how long the root waited in
+	// the injection queue before pickup.
 	Tenant string
 	Class  QoSClass
 	Queued time.Duration

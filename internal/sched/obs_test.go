@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -49,12 +50,12 @@ func TestObsWorkSpanSpawn(t *testing.T) {
 	defer rt.Shutdown()
 	const leaves = 8
 	const leafSpin = 2 * time.Millisecond
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		for i := 0; i < leaves; i++ {
 			c.Spawn(func(c *Context) { spinFor(leafSpin) })
 		}
 		c.Sync()
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestObsSpanChain(t *testing.T) {
 		}
 		spinFor(stepSpin)
 	}
-	if err := rt.Run(func(c *Context) { chain(c, depth) }); err != nil {
+	if err := mustSubmit(t, rt, func(c *Context) { chain(c, depth) }).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	r := o.last(t)
@@ -118,11 +119,11 @@ func TestObsCallThreadsStrand(t *testing.T) {
 	rt := New(WithWorkers(2), WithRunObserver(o))
 	defer rt.Shutdown()
 	const spin = 2 * time.Millisecond
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		spinFor(spin)
 		c.Call(func(c *Context) { spinFor(spin) })
 		spinFor(spin)
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestObsLoopSpan(t *testing.T) {
 	defer rt.Shutdown()
 	const iters = 16
 	const iterSpin = 500 * time.Microsecond
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		c.Call(func(c *Context) {
 			c.LoopRange(0, iters, 1, func(c *Context, lo, hi int) {
 				for i := lo; i < hi; i++ {
@@ -150,7 +151,7 @@ func TestObsLoopSpan(t *testing.T) {
 			})
 			c.Sync()
 		})
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,10 +175,10 @@ func TestObsSerialElision(t *testing.T) {
 	rt := New(WithSerialElision(), WithRunObserver(o))
 	defer rt.Shutdown()
 	const spin = 2 * time.Millisecond
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		c.Spawn(func(c *Context) { spinFor(spin) })
 		c.Sync()
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +191,8 @@ func TestObsSerialElision(t *testing.T) {
 	}
 }
 
-// TestObsCallbacksPerRun checks that every Run produces exactly one
-// RunStart/RunEnd pair with matching ids, including concurrent Runs.
+// TestObsCallbacksPerRun checks that every run produces exactly one
+// RunStart/RunEnd pair with matching ids, including concurrent runs.
 func TestObsCallbacksPerRun(t *testing.T) {
 	o := &captureObserver{}
 	rt := New(WithWorkers(2), WithRunObserver(o))
@@ -202,10 +203,13 @@ func TestObsCallbacksPerRun(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = rt.Run(func(c *Context) {
+			tk, err := rt.Submit(context.Background(), func(c *Context) {
 				c.Spawn(func(c *Context) {})
 				c.Sync()
 			})
+			if err == nil {
+				tk.Wait()
+			}
 		}()
 	}
 	wg.Wait()
@@ -231,10 +235,11 @@ func TestObsCallbacksPerRun(t *testing.T) {
 func TestObsUnobservedRunsZero(t *testing.T) {
 	rt := New(WithWorkers(2))
 	defer rt.Shutdown()
-	st, err := rt.RunWithStats(func(c *Context) {
+	tk := mustSubmit(t, rt, func(c *Context) {
 		c.Spawn(func(c *Context) { spinFor(time.Millisecond) })
 		c.Sync()
-	})
+	}, WithStats())
+	st, err := tk.Stats(), tk.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,12 +266,12 @@ func TestObsLatencyHistograms(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	for i := 0; i < 4; i++ {
-		_ = rt.Run(func(c *Context) {
+		_ = mustSubmit(t, rt, func(c *Context) {
 			for j := 0; j < 16; j++ {
 				c.Spawn(func(c *Context) { spinFor(200 * time.Microsecond) })
 			}
 			c.Sync()
-		})
+		}).Wait()
 	}
 	h := rt.LatencyHistograms()
 	if _, ok := h["steal_latency"]; !ok {

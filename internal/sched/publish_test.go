@@ -193,7 +193,7 @@ func TestStatsStalenessBound(t *testing.T) {
 func TestUnstolenSpawnsJoinOnStrand(t *testing.T) {
 	one := New(WithWorkers(1))
 	var out int64
-	if err := one.Run(func(c *Context) { fib(c, 18, &out) }); err != nil {
+	if err := mustSubmit(t, one, func(c *Context) { fib(c, 18, &out) }).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	one.Shutdown()
@@ -205,7 +205,7 @@ func TestUnstolenSpawnsJoinOnStrand(t *testing.T) {
 	}
 
 	four := New(WithWorkers(4))
-	if err := four.Run(func(c *Context) { fibYield(c, 16, &out) }); err != nil {
+	if err := mustSubmit(t, four, func(c *Context) { fibYield(c, 16, &out) }).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	four.Shutdown()
@@ -240,7 +240,7 @@ func TestRecycledFrameJoinStateZeroed(t *testing.T) {
 			}
 		}
 		var out int64
-		if err := rt.Run(func(c *Context) { fib(c, 12, &out) }); err != nil {
+		if err := mustSubmit(t, rt, func(c *Context) { fib(c, 12, &out) }).Wait(); err != nil {
 			t.Fatalf("%s: next run: %v", when, err)
 		}
 		if out != fibSerial(12) {
@@ -248,29 +248,32 @@ func TestRecycledFrameJoinStateZeroed(t *testing.T) {
 		}
 	}
 
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		c.Spawn(func(c *Context) {
 			for i := 0; i < 3; i++ {
 				c.Spawn(func(*Context) {})
 			}
 			panic("boom with three children outstanding")
 		})
-	})
+	}).Wait()
 	var pe *PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("Run = %v, want *PanicError", err)
+		t.Fatalf("Wait = %v, want *PanicError", err)
 	}
 	checkPool("after panic with outstanding children")
 
 	ctx, cancel := context.WithCancel(context.Background())
-	err = rt.RunCtx(ctx, func(c *Context) {
+	tk, err := rt.Submit(ctx, func(c *Context) {
 		for i := 0; i < 100; i++ {
 			c.Spawn(func(c *Context) { c.Spawn(func(*Context) {}) })
 		}
 		cancelAndWait(c, cancel) // every queued child is skipped, and still joins
 	})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("RunCtx = %v, want ErrCanceled", err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tk.Wait(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Wait = %v, want ErrCanceled", err)
 	}
 	checkPool("after skip-but-join")
 	log.empty(t)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -31,7 +32,7 @@ func TestPanicInDeeplyNestedChildDrains(t *testing.T) {
 		}
 		c.Sync()
 	}
-	err := rt.Run(func(c *Context) { rec(c, depth) })
+	err := mustSubmit(t, rt, func(c *Context) { rec(c, depth) }).Wait()
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want PanicError", err)
@@ -39,7 +40,7 @@ func TestPanicInDeeplyNestedChildDrains(t *testing.T) {
 	// A fresh computation on the same runtime must work: no worker died,
 	// no task leaked.
 	var after int64
-	if err := rt.Run(func(c *Context) { fib(c, 12, &after) }); err != nil {
+	if err := mustSubmit(t, rt, func(c *Context) { fib(c, 12, &after) }).Wait(); err != nil {
 		t.Fatalf("runtime unusable after panic: %v", err)
 	}
 	if after != fibSerial(12) {
@@ -53,14 +54,14 @@ func TestPanicInMergeDuringFold(t *testing.T) {
 	rt := New(WithWorkers(2))
 	defer rt.Shutdown()
 	key := &poisonKey{}
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		v := &poisonView{}
 		c.InstallView(key, v)
 		c.Spawn(func(c *Context) {
 			c.InstallView(key, &poisonView{})
 		})
 		c.Sync() // fold calls Merge, which panics
-	})
+	}).Wait()
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want PanicError from Merge", err)
@@ -91,7 +92,7 @@ func TestManyRuntimesSequential(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		rt := New(WithWorkers(3))
 		var out int64
-		if err := rt.Run(func(c *Context) { fib(c, 10, &out) }); err != nil {
+		if err := mustSubmit(t, rt, func(c *Context) { fib(c, 10, &out) }).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		rt.Shutdown()
@@ -105,7 +106,7 @@ func TestNestedCallDepth(t *testing.T) {
 	defer rt.Shutdown()
 	key := &fakeKey{}
 	const depth = 400
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		var rec func(c *Context, d int)
 		rec = func(c *Context, d int) {
 			if d == 0 {
@@ -118,7 +119,7 @@ func TestNestedCallDepth(t *testing.T) {
 		if got := c.Depth(); got != 0 {
 			t.Errorf("caller depth = %d after calls returned", got)
 		}
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestNestedCallDepth(t *testing.T) {
 
 // TestSpawnFromManyGoroutinesRejected is intentionally absent: Contexts are
 // documented as strand-confined. Instead verify the supported pattern —
-// separate Run calls from separate goroutines — under load.
+// separate submissions from separate goroutines — under load.
 func TestConcurrentRunsStress(t *testing.T) {
 	rt := New(WithWorkers(4))
 	defer rt.Shutdown()
@@ -139,7 +140,10 @@ func TestConcurrentRunsStress(t *testing.T) {
 		i := i
 		go func() {
 			var out int64
-			err := rt.Run(func(c *Context) { fib(c, 12+i%4, &out) })
+			tk, err := rt.Submit(context.Background(), func(c *Context) { fib(c, 12+i%4, &out) })
+			if err == nil {
+				err = tk.Wait()
+			}
 			if err == nil && out != fibSerial(12+i%4) {
 				err = errors.New("wrong result")
 			}
@@ -159,7 +163,7 @@ func TestStatsQuiescentConsistency(t *testing.T) {
 	rt := New(WithWorkers(4))
 	var out int64
 	for i := 0; i < 5; i++ {
-		if err := rt.Run(func(c *Context) { fib(c, 16, &out) }); err != nil {
+		if err := mustSubmit(t, rt, func(c *Context) { fib(c, 16, &out) }).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,7 +183,7 @@ func TestStatsQuiescentConsistency(t *testing.T) {
 func TestZeroWorkRun(t *testing.T) {
 	rt := New(WithWorkers(2))
 	defer rt.Shutdown()
-	if err := rt.Run(func(*Context) {}); err != nil {
+	if err := mustSubmit(t, rt, func(*Context) {}).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if s := rt.Stats(); s.Spawns != 0 || s.Steals != 0 {

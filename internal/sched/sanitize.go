@@ -264,15 +264,19 @@ func (rt *Runtime) sanVerifyDrained() {
 			rt.sanViolation("shutdown: worker %d exited leaving %d tasks in its deque", w.id, n)
 		}
 	}
+	var inject int
+	for _, n := range rt.inject.lens() {
+		inject += n
+	}
 	rt.mu.Lock()
-	inject, roots, parked := rt.queuedRoots(), rt.activeRoots, rt.parked.Load()
+	roots, parked := rt.activeRoots, rt.parked.Load()
 	gauge := rt.injected.Load()
 	rt.mu.Unlock()
 	if inject != 0 {
 		rt.sanViolation("shutdown stranded %d injected root tasks", inject)
 	}
 	if gauge != int64(inject) {
-		rt.sanViolation("shutdown: injected gauge %d disagrees with %d queued roots in lanes", gauge, inject)
+		rt.sanViolation("shutdown: injected gauge %d disagrees with %d queued roots", gauge, inject)
 	}
 	if roots != 0 {
 		rt.sanViolation("shutdown with %d computations still active", roots)

@@ -79,7 +79,8 @@ func TestSanStealBatchExactlyOnce(t *testing.T) {
 	want := fibSerial(18)
 	for i := 0; i < 5; i++ {
 		var got int64
-		stats, err := rt.RunWithStats(func(c *Context) { fibYield(c, 18, &got) })
+		tk := mustSubmit(t, rt, func(c *Context) { fibYield(c, 18, &got) }, WithStats())
+		stats, err := tk.Stats(), tk.Wait()
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -117,7 +118,7 @@ func TestSanRangeExactlyOnceFaulted(t *testing.T) {
 		counts := make([]int32, n)
 		key := new(int)
 		var folded []int
-		err := rt.Run(func(c *Context) {
+		err := mustSubmit(t, rt, func(c *Context) {
 			loopRange(c, 0, n, 5, func(c *Context, l, h int) {
 				v, _ := c.LookupView(key).(*orderView)
 				if v == nil {
@@ -132,7 +133,7 @@ func TestSanRangeExactlyOnceFaulted(t *testing.T) {
 			if v, ok := c.LookupView(key).(*orderView); ok {
 				folded = v.xs
 			}
-		})
+		}).Wait()
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -166,12 +167,11 @@ func TestSanDropWakeLiveness(t *testing.T) {
 	rt := New(WithWorkers(8), WithSanitize(opts))
 	defer rt.Shutdown()
 	want := fibSerial(20)
-	done := make(chan error, 1)
 	var got int64
-	go func() { done <- rt.Run(func(c *Context) { fib(c, 20, &got) }) }()
+	tk := mustSubmit(t, rt, func(c *Context) { fib(c, 20, &got) })
 	select {
-	case err := <-done:
-		if err != nil {
+	case <-tk.Done():
+		if err := tk.Wait(); err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
@@ -201,7 +201,8 @@ func TestSanWakeFaultSchedules(t *testing.T) {
 		opts, log := sanOpts(plan)
 		rt := New(WithWorkers(4), WithSanitize(opts))
 		var got int64
-		stats, err := rt.RunWithStats(func(c *Context) { fib(c, 16, &got) })
+		tk := mustSubmit(t, rt, func(c *Context) { fib(c, 16, &got) }, WithStats())
+		stats, err := tk.Stats(), tk.Wait()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -248,11 +249,10 @@ func TestSanWatchdogCatchesBrokenWakeup(t *testing.T) {
 	}
 
 	var got int64
-	done := make(chan error, 1)
-	go func() { done <- rt.Run(func(c *Context) { fib(c, 10, &got) }) }()
+	tk := mustSubmit(t, rt, func(c *Context) { fib(c, 10, &got) })
 	select {
-	case err := <-done:
-		if err != nil {
+	case <-tk.Done():
+		if err := tk.Wait(); err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
@@ -292,12 +292,12 @@ func TestSanWatchdogQuietOnHealthyRuns(t *testing.T) {
 	}
 	rt := New(WithWorkers(4), WithSanitize(opts))
 	defer rt.Shutdown()
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		c.Spawn(func(*Context) { time.Sleep(120 * time.Millisecond) }) // long serial strand
 		var out int64
 		fib(c, 15, &out)
 		c.Sync()
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestSanDrainUnderBatchSteal(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = rt.Run(func(c *Context) {
+			tk, err := rt.Submit(context.Background(), func(c *Context) {
 				var spread func(c *Context, depth int)
 				spread = func(c *Context, depth int) {
 					if depth == 0 {
@@ -343,6 +343,10 @@ func TestSanDrainUnderBatchSteal(t *testing.T) {
 				}
 				spread(c, 5)
 			})
+			if err == nil {
+				err = tk.Wait()
+			}
+			errs[i] = err
 		}(i)
 	}
 	time.Sleep(2 * time.Millisecond) // let the trees start fanning out
@@ -366,12 +370,12 @@ func TestSanInvariantDoubleDeposit(t *testing.T) {
 	opts, log := sanOpts(schedsan.Plan{})
 	rt := New(WithWorkers(2), WithSanitize(opts))
 	defer rt.Shutdown()
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		f := c.frame
 		views := viewMap{{key: new(int), v: &orderView{}}}
 		f.depositChildViews(0, views)
 		f.depositChildViews(0, views) // the bug: ordinal 0 deposits twice
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +404,7 @@ func TestSanInvariantDoubleJoin(t *testing.T) {
 			opts, log := sanOpts(schedsan.Plan{})
 			rt := New(WithWorkers(2), WithSanitize(opts))
 			defer rt.Shutdown()
-			err := rt.Run(func(c *Context) {
+			err := mustSubmit(t, rt, func(c *Context) {
 				// The bug: a spurious extra join signal on a frame with no
 				// outstanding children.
 				extraJoin(c.frame)
@@ -408,7 +412,7 @@ func TestSanInvariantDoubleJoin(t *testing.T) {
 				if f := c.frame; f.spawned != 0 || f.inline != 0 || f.join.Load() != 0 {
 					t.Errorf("sync left spawned=%d inline=%d join=%d", f.spawned, f.inline, f.join.Load())
 				}
-			})
+			}).Wait()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -426,23 +430,23 @@ func TestSanInvariantDoubleJoin(t *testing.T) {
 
 // TestSanRunQuiescence: the per-run quiescence check passes on healthy
 // workloads of every flavour (spawn trees, loops, cancellation) — i.e. the
-// checker itself has no false positives under RunWithStats accounting.
+// checker itself has no false positives under per-run (WithStats) accounting.
 func TestSanRunQuiescence(t *testing.T) {
 	opts, log := sanOpts(schedsan.RandomPlan(7))
 	rt := New(WithWorkers(4), WithSanitize(opts))
 	defer rt.Shutdown()
 	var out int64
-	if _, err := rt.RunWithStats(func(c *Context) { fib(c, 15, &out) }); err != nil {
+	if err := mustSubmit(t, rt, func(c *Context) { fib(c, 15, &out) }, WithStats()).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.RunWithStats(func(c *Context) {
+	if err := mustSubmit(t, rt, func(c *Context) {
 		counts := make([]int32, 5000)
 		loopRange(c, 0, len(counts), 3, func(c *Context, l, h int) {
 			for i := l; i < h; i++ {
 				atomic.AddInt32(&counts[i], 1)
 			}
 		})
-	}); err != nil {
+	}, WithStats()).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	log.empty(t)
@@ -457,7 +461,7 @@ func TestSanDisabledZeroImpact(t *testing.T) {
 		t.Fatal("sanitizer state visible on an unsanitized runtime")
 	}
 	var out int64
-	if err := rt.Run(func(c *Context) { fib(c, 12, &out) }); err != nil {
+	if err := mustSubmit(t, rt, func(c *Context) { fib(c, 12, &out) }).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if rt.Stats().Stalls != 0 {
@@ -468,12 +472,13 @@ func TestSanDisabledZeroImpact(t *testing.T) {
 	}
 }
 
-// TestSanWatchdogRescuesLaneStorm is the sharded-lane variant of
+// TestSanWatchdogRescuesLaneStorm is the Submit-storm variant of
 // TestSanWatchdogCatchesBrokenWakeup: with the root-injection Signal
-// suppressed, a multi-tenant, mixed-QoS Submit storm lands across several
-// lanes while every worker is parked. The stall watchdog must notice the
-// queued roots (the rt.injected gauge) and its rescue broadcast must drain
-// every lane — each ticket completes exactly once with a correct result.
+// suppressed, a multi-tenant, mixed-QoS Submit storm fills every class of
+// the injection queue while every worker is parked. The stall watchdog must
+// notice the queued roots (the rt.injected gauge) and its rescue broadcast
+// must drain the queue — each ticket completes exactly once with a correct
+// result.
 func TestSanWatchdogRescuesLaneStorm(t *testing.T) {
 	opts := schedsan.Options{
 		Invariants:      true,

@@ -25,7 +25,6 @@
 package sched
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -76,7 +75,8 @@ func WithHooks(h Hooks) Option {
 }
 
 // WithStealSeed seeds the workers' random victim selection, making
-// steal-order reproducible for tests. The default seed is 1.
+// steal-order reproducible for tests, and nothing else. The default seed is
+// 1.
 func WithStealSeed(seed int64) Option {
 	return func(c *config) { c.stealSeed = seed }
 }
@@ -104,13 +104,12 @@ func WithTracing(opts ...TraceOption) Option {
 }
 
 // Runtime is a Cilk work-stealing scheduler instance. Construct with New,
-// submit computations with Submit (or the legacy Run wrappers), and release
-// the workers with Shutdown.
+// submit computations with Submit, and release the workers with Shutdown.
 type Runtime struct {
 	cfg     config
 	workers []*worker
 	tracer  *trace.Tracer // nil unless the Tracing option was given
-	runIDs  atomic.Int64  // Run invocation ids, for trace attribution
+	runIDs  atomic.Int64  // Submit ids, for trace attribution
 
 	// Robustness-layer counters (see cancel.go and Metrics).
 	runsCanceled      atomic.Int64
@@ -137,19 +136,14 @@ type Runtime struct {
 	// one atomic load here and nothing else.
 	parked atomic.Int32
 
-	// Root-injection path (see inject.go and submit.go): one lane per
-	// worker, each a per-QoS-class queue drained by weighted deficit
-	// round-robin. injected counts queued roots across all lanes — the
-	// one-atomic-load fast path an idle worker's sweep checks before
-	// touching any lane lock — and queuedByClass breaks it down for
-	// LoadReport. laneRR round-robins unlabeled submissions across lanes.
-	// adm is the admission-control state (always present; limits armed only
-	// by WithAdmission).
-	lanes         []*injectLane
-	laneRR        atomic.Uint64
-	injected      atomic.Int64
-	queuedByClass [numQoS]atomic.Int64
-	adm           *admission
+	// Root-injection path (see inject.go and submit.go): one per-QoS-class
+	// queue drained by weighted deficit round-robin. injected counts its
+	// roots — the one-atomic-load fast path an idle worker checks before
+	// touching the queue's lock. adm is the admission-control state (always
+	// present; limits armed only by WithAdmission).
+	inject   injectLane
+	injected atomic.Int64
+	adm      *admission
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -160,7 +154,7 @@ type Runtime struct {
 }
 
 // New creates a runtime and starts its workers. In serial-elision mode no
-// worker goroutines are started; Run executes on the caller's goroutine.
+// worker goroutines are started; Submit executes on the caller's goroutine.
 func New(opts ...Option) *Runtime {
 	cfg := config{
 		workers:     runtime.GOMAXPROCS(0),
@@ -190,10 +184,6 @@ func New(opts ...Option) *Runtime {
 	rt.adm = newAdmission(cfg.admission)
 	if cfg.serial {
 		return rt
-	}
-	rt.lanes = make([]*injectLane, cfg.workers)
-	for i := range rt.lanes {
-		rt.lanes[i] = &injectLane{}
 	}
 	if cfg.observer != nil {
 		rt.obsH = newObsHist()
@@ -240,50 +230,6 @@ func (rt *Runtime) Serial() bool { return rt.cfg.serial }
 // Typical use: rt.Tracer().Start(), run computations, then
 // rt.Tracer().Stop() for the drained timelines.
 func (rt *Runtime) Tracer() *trace.Tracer { return rt.tracer }
-
-// Run executes fn as the root of a fork-join computation and blocks until
-// the computation — including everything it spawned — completes. A panic
-// anywhere in the computation is quarantined and returned as a *PanicError
-// after all outstanding work has drained (the rest of the run is abandoned
-// cooperatively; the runtime stays healthy for subsequent Runs). Run may be
-// called concurrently from several goroutines; the computations share the
-// workers (§3.2's performance composability). Run is
-// RunCtx(context.Background(), fn); use RunCtx for cancellation and
-// deadlines.
-//
-// Deprecated: use Submit, which subsumes all four Run entry points —
-// Run(fn) is Submit(context.Background(), fn) followed by Ticket.Wait.
-func (rt *Runtime) Run(fn func(*Context)) error {
-	_, err := rt.run(context.Background(), fn, false)
-	return err
-}
-
-// RunWithStats is Run with per-computation accounting: the returned Stats
-// covers exactly this computation — its spawns, tasks, steals of its tasks,
-// its live-frame high-water mark and deepest spawn — so concurrent Run
-// calls sharing the workers can be told apart (§3.2's performance
-// composability, now observable). StealAttempts is zero in the result:
-// failed probes cannot be attributed to any one computation. The extra
-// accounting costs a few per-run atomic increments; plain Run pays only a
-// nil check per site.
-//
-// Deprecated: use Submit with WithStats — RunWithStats(fn) is
-// Submit(context.Background(), fn, WithStats()) followed by Ticket.Wait and
-// Ticket.Stats.
-func (rt *Runtime) RunWithStats(fn func(*Context)) (Stats, error) {
-	return rt.run(context.Background(), fn, true)
-}
-
-// run is the shared body of the four legacy entry points: Submit with
-// default options, awaited inline.
-func (rt *Runtime) run(ctx context.Context, fn func(*Context), track bool) (Stats, error) {
-	tk, err := rt.submit(ctx, fn, submitCfg{qos: QoSBatch, track: track})
-	if err != nil {
-		return Stats{}, err
-	}
-	err = tk.Wait()
-	return tk.Stats(), err
-}
 
 // runSerial executes fn's serial elision on the caller's goroutine.
 func (rt *Runtime) runSerial(fn func(*Context), rs *runState) (err error) {
@@ -344,7 +290,7 @@ func finalizeViews(views viewMap) {
 }
 
 // Shutdown stops the workers after letting in-flight computations run to
-// completion (an unbounded drain). New Runs submitted after Shutdown return
+// completion (an unbounded drain). Submit after Shutdown returns
 // ErrShutdown. For a bounded drain that cancels stragglers, use
 // ShutdownDrain. Shutdown is idempotent.
 func (rt *Runtime) Shutdown() {
@@ -364,11 +310,11 @@ type Panic struct {
 	Stack []byte
 }
 
-// PanicError reports the panics quarantined during a computation submitted
-// to Run. The first panic cancels the rest of the run; strands already
-// executing when that happens may panic too, and every captured panic is
-// collected in All rather than lost. Value and Stack mirror All[0] so
-// existing single-panic consumers keep working.
+// PanicError reports the panics quarantined during a submitted computation.
+// The first panic cancels the rest of the run; strands already executing
+// when that happens may panic too, and every captured panic is collected in
+// All rather than lost. Value and Stack mirror All[0] so existing
+// single-panic consumers keep working.
 type PanicError struct {
 	Value any     // the first panic's value
 	Stack []byte  // the first panic's stack, if captured
@@ -506,36 +452,30 @@ func (w *worker) findTask() *task {
 	return w.stealOnce()
 }
 
-// takeInjected sweeps the injection lanes for a queued root: own lane first
-// (tenant-hashed submissions land on a stable lane, so the worker warm with
-// a tenant's state probes that tenant's lane first), then the rest rotated
-// by the worker's id so concurrent sweepers spread instead of convoying.
-// The empty-path cost is one atomic load of rt.injected — no mutex — which
-// is what lets every idle worker probe the injection path on every sweep
-// without serializing on a global lock.
+// takeInjected pops the next queued root by DRR. The empty-path cost is one
+// atomic load of rt.injected — no mutex — which is what lets every idle
+// worker probe the injection queue on every sweep without serializing on a
+// lock.
 func (w *worker) takeInjected() *task {
 	rt := w.rt
 	if rt.injected.Load() == 0 {
 		return nil
 	}
-	n := len(rt.lanes)
-	for i := 0; i < n; i++ {
-		if t := rt.lanes[(w.id+i)%n].pop(); t != nil {
-			rt.injected.Add(-1)
-			rt.rootPicked(t.frame.run)
-			w.rec.InjectPickup()
-			return t
-		}
+	t := rt.inject.pop()
+	if t == nil {
+		return nil
 	}
-	return nil
+	rt.injected.Add(-1)
+	rt.rootPicked(t.frame.run)
+	w.rec.InjectPickup()
+	return t
 }
 
-// rootPicked records a root's transit from queued to running: per-class
-// queue gauges, the Ticket's queue-latency clock, and the admission state
-// machine's queued→running transition.
+// rootPicked records a root's transit from queued to running: the Ticket's
+// queue-latency clock and the admission state machine's queued→running
+// transition.
 func (rt *Runtime) rootPicked(rs *runState) {
-	rt.queuedByClass[rs.qos].Add(-1)
-	rs.pickedNs = rt.nanots()
+	rs.pickedNs.Store(rt.nanots())
 	rt.adm.picked(rs)
 }
 
@@ -663,7 +603,7 @@ func (rt *Runtime) wake() {
 // The regression test TestSanDropWakeLiveness pins this argument by
 // dropping every spawn-path wake and requiring runs to complete. Only a
 // root injection lacks a producer that will execute the work itself, which
-// is why Submit pairs the lane enqueue with an unconditional Signal under
+// is why Submit pairs the queue push with an unconditional Signal under
 // rt.mu — paired with the parker's rt.injected re-check below, also under
 // rt.mu, that wakeup cannot be lost (the full argument is in submit.go) —
 // and why schedsan treats it as unloseable (its loss,
@@ -732,7 +672,7 @@ func (w *worker) park() bool {
 // and signals the join (joinChild). Panics are quarantined into the run state
 // (cancelling the rest of the run) and the frame's outstanding children are
 // still drained, so a failed computation never leaves orphan tasks running
-// after Run returns. Tasks of a cancelled run are skipped, not executed —
+// after Ticket.Wait returns. Tasks of a cancelled run are skipped, not executed —
 // the steal/pickup boundary is a cancel check site.
 func (w *worker) runTask(t *task) {
 	if t.loop != nil {
@@ -797,7 +737,7 @@ func (w *worker) runTask(t *task) {
 		// deposit happens strictly before the join-counter decrement below,
 		// so a parent folding after the join observes it; for the root, the
 		// store precedes rs.finish()'s done-channel close, which publishes
-		// the span to the Run caller.
+		// the span to the Ticket's waiter.
 		ctx.charge(cl)
 		ctx.depositSpan(cl)
 	}

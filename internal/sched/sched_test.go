@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -21,6 +22,17 @@ func fib(c *Context, n int, out *int64) {
 	*out = a + b
 }
 
+// mustSubmit submits fn with opts under a background context and fails the
+// test if Submit refuses it; the caller awaits the returned Ticket.
+func mustSubmit(t testing.TB, rt *Runtime, fn func(*Context), opts ...RunOption) *Ticket {
+	t.Helper()
+	tk, err := rt.Submit(context.Background(), fn, opts...)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	return tk
+}
+
 func fibSerial(n int) int64 {
 	if n < 2 {
 		return int64(n)
@@ -32,8 +44,8 @@ func TestFibParallel(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 8} {
 		rt := New(WithWorkers(p))
 		var got int64
-		if err := rt.Run(func(c *Context) { fib(c, 20, &got) }); err != nil {
-			t.Fatalf("P=%d: Run: %v", p, err)
+		if err := mustSubmit(t, rt, func(c *Context) { fib(c, 20, &got) }).Wait(); err != nil {
+			t.Fatalf("P=%d: Wait: %v", p, err)
 		}
 		rt.Shutdown()
 		if want := fibSerial(20); got != want {
@@ -45,8 +57,8 @@ func TestFibParallel(t *testing.T) {
 func TestFibSerialElision(t *testing.T) {
 	rt := New(WithSerialElision())
 	var got int64
-	if err := rt.Run(func(c *Context) { fib(c, 18, &got) }); err != nil {
-		t.Fatalf("Run: %v", err)
+	if err := mustSubmit(t, rt, func(c *Context) { fib(c, 18, &got) }).Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
 	}
 	if want := fibSerial(18); got != want {
 		t.Fatalf("fib(18) = %d, want %d", got, want)
@@ -59,17 +71,17 @@ func TestSpawnWithoutSyncImpliesJoinAtReturn(t *testing.T) {
 	rt := New(WithWorkers(4))
 	defer rt.Shutdown()
 	var n atomic.Int64
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		for i := 0; i < 100; i++ {
 			c.Spawn(func(*Context) { n.Add(1) })
 		}
 		// no explicit Sync
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n.Load() != 100 {
-		t.Fatalf("Run returned before implicit sync: n = %d, want 100", n.Load())
+		t.Fatalf("Wait returned before implicit sync: n = %d, want 100", n.Load())
 	}
 }
 
@@ -80,13 +92,13 @@ func TestManyFlatSpawns(t *testing.T) {
 	defer rt.Shutdown()
 	const n = 200000
 	var sum atomic.Int64
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		for i := 1; i <= n; i++ {
 			i := i
 			c.Spawn(func(*Context) { sum.Add(int64(i)) })
 		}
 		c.Sync()
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +122,7 @@ func TestDeepSpawnChain(t *testing.T) {
 		c.Spawn(func(c *Context) { down(c, d-1) })
 		c.Sync()
 	}
-	if err := rt.Run(func(c *Context) { down(c, depth) }); err != nil {
+	if err := mustSubmit(t, rt, func(c *Context) { down(c, depth) }).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if reached.Load() != 1 {
@@ -130,7 +142,7 @@ func TestSyncIsLocalBarrier(t *testing.T) {
 	release := make(chan struct{})
 	var order []string
 	var mu chanOrder
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		c.Spawn(func(c *Context) { // frame A: blocks until released
 			c.Spawn(func(*Context) { <-release })
 			c.Sync()
@@ -142,7 +154,7 @@ func TestSyncIsLocalBarrier(t *testing.T) {
 			close(release)
 		})
 		c.Sync()
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,30 +176,30 @@ func TestPanicPropagation(t *testing.T) {
 	rt := New(WithWorkers(4))
 	defer rt.Shutdown()
 	var after atomic.Int64
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		c.Spawn(func(*Context) { panic("boom") })
 		c.Spawn(func(*Context) { after.Add(1) })
 		c.Sync()
-	})
+	}).Wait()
 	var pe *PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("Run error = %v, want *PanicError", err)
+		t.Fatalf("Wait error = %v, want *PanicError", err)
 	}
 	if pe.Value != "boom" {
 		t.Fatalf("PanicError.Value = %v, want boom", pe.Value)
 	}
-	// Run must not return while spawned work is still executing.
+	// Wait must not return while spawned work is still executing.
 	if after.Load() != 1 {
-		t.Fatalf("sibling task did not complete before Run returned")
+		t.Fatalf("sibling task did not complete before Wait returned")
 	}
 }
 
 func TestPanicSerialElision(t *testing.T) {
 	rt := New(WithSerialElision())
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		c.Spawn(func(*Context) { panic(42) })
 		c.Sync()
-	})
+	}).Wait()
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -208,7 +220,11 @@ func TestConcurrentRuns(t *testing.T) {
 	for i := 0; i < k; i++ {
 		i := i
 		go func() {
-			errs <- rt.Run(func(c *Context) { fib(c, 15, &results[i]) })
+			tk, err := rt.Submit(context.Background(), func(c *Context) { fib(c, 15, &results[i]) })
+			if err == nil {
+				err = tk.Wait()
+			}
+			errs <- err
 		}()
 	}
 	for i := 0; i < k; i++ {
@@ -227,7 +243,7 @@ func TestConcurrentRuns(t *testing.T) {
 func TestRunAfterShutdown(t *testing.T) {
 	rt := New(WithWorkers(2))
 	rt.Shutdown()
-	if err := rt.Run(func(*Context) {}); err != ErrShutdown {
+	if _, err := rt.Submit(context.Background(), func(*Context) {}); err != ErrShutdown {
 		t.Fatalf("err = %v, want ErrShutdown", err)
 	}
 }
@@ -235,7 +251,7 @@ func TestRunAfterShutdown(t *testing.T) {
 func TestStatsCounting(t *testing.T) {
 	rt := New(WithWorkers(4), WithStealSeed(7))
 	var out int64
-	if err := rt.Run(func(c *Context) { fib(c, 22, &out) }); err != nil {
+	if err := mustSubmit(t, rt, func(c *Context) { fib(c, 22, &out) }).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	rt.Shutdown()
@@ -257,13 +273,13 @@ func TestStatsCounting(t *testing.T) {
 func TestHooksSerialOrder(t *testing.T) {
 	rec := &recorderHooks{}
 	rt := New(WithSerialElision(), WithHooks(rec))
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		c.Spawn(func(c *Context) {
 			c.Spawn(func(*Context) {})
 			// implicit sync at return
 		})
 		c.Sync()
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +319,7 @@ func TestCallScopesSync(t *testing.T) {
 	defer rt.Shutdown()
 	var slowDone, callSawSlowDone atomic.Bool
 	release := make(chan struct{})
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		c.Spawn(func(*Context) {
 			<-release
 			slowDone.Store(true)
@@ -315,7 +331,7 @@ func TestCallScopesSync(t *testing.T) {
 		})
 		close(release)
 		c.Sync()
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,11 +346,11 @@ func TestCallScopesSync(t *testing.T) {
 func TestCallHookOrder(t *testing.T) {
 	rec := &recorderHooks{}
 	rt := New(WithSerialElision(), WithHooks(rec))
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(t, rt, func(c *Context) {
 		c.Call(func(c *Context) {
 			c.Spawn(func(*Context) {})
 		})
-	})
+	}).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +373,7 @@ func TestCallViewsFlowThrough(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		rt := New(WithWorkers(p), WithStealSeed(5))
 		key := &fakeKey{}
-		err := rt.Run(func(c *Context) {
+		err := mustSubmit(t, rt, func(c *Context) {
 			appendView(c, key, "a")
 			c.Call(func(c *Context) {
 				appendView(c, key, "b")
@@ -365,7 +381,7 @@ func TestCallViewsFlowThrough(t *testing.T) {
 				appendView(c, key, "d")
 			})
 			appendView(c, key, "e")
-		})
+		}).Wait()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,7 +449,7 @@ func TestViewFoldSerialOrder(t *testing.T) {
 		for seed := int64(0); seed < 10; seed++ {
 			rt := New(WithWorkers(p), WithStealSeed(seed))
 			key := &fakeKey{}
-			if err := rt.Run(func(c *Context) { program(c, key) }); err != nil {
+			if err := mustSubmit(t, rt, func(c *Context) { program(c, key) }).Wait(); err != nil {
 				t.Fatal(err)
 			}
 			rt.Shutdown()
@@ -465,7 +481,7 @@ func TestViewFoldRecursive(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		rt := New(WithWorkers(p), WithStealSeed(99))
 		key := &fakeKey{}
-		if err := rt.Run(func(c *Context) { walk(c, key, 0, 64) }); err != nil {
+		if err := mustSubmit(t, rt, func(c *Context) { walk(c, key, 0, 64) }).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		rt.Shutdown()
@@ -478,7 +494,7 @@ func TestViewFoldRecursive(t *testing.T) {
 func TestViewFoldSerialElisionMatchesParallel(t *testing.T) {
 	run := func(rt *Runtime) string {
 		key := &fakeKey{}
-		err := rt.Run(func(c *Context) {
+		err := mustSubmit(t, rt, func(c *Context) {
 			for i := 0; i < 10; i++ {
 				i := i
 				appendView(c, key, fmt.Sprintf("p%d,", i))
@@ -486,7 +502,7 @@ func TestViewFoldSerialElisionMatchesParallel(t *testing.T) {
 			}
 			c.Sync()
 			appendView(c, key, "end")
-		})
+		}).Wait()
 		if err != nil {
 			panic(err)
 		}
@@ -507,12 +523,12 @@ func BenchmarkSpawnSyncPingPong(b *testing.B) {
 	defer rt.Shutdown()
 	b.ReportAllocs()
 	b.ResetTimer()
-	err := rt.Run(func(c *Context) {
+	err := mustSubmit(b, rt, func(c *Context) {
 		for i := 0; i < b.N; i++ {
 			c.Spawn(func(*Context) {})
 			c.Sync()
 		}
-	})
+	}).Wait()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -524,7 +540,7 @@ func BenchmarkFib25(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var out int64
-		if err := rt.Run(func(c *Context) { fib(c, 25, &out) }); err != nil {
+		if err := mustSubmit(b, rt, func(c *Context) { fib(c, 25, &out) }).Wait(); err != nil {
 			b.Fatal(err)
 		}
 	}

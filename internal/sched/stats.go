@@ -151,19 +151,19 @@ type Stats struct {
 	// extra tasks. Steals counts every successful steal operation, batched
 	// or not, so TasksStolenBatched/StealBatches is the mean surplus per
 	// batch and Steals+TasksStolenBatched is the total number of tasks that
-	// migrated between workers. Both are zero in RunWithStats results:
-	// batching is a property of the worker's hunt, not of one computation.
+	// migrated between workers. Both are zero in per-run results: batching
+	// is a property of the worker's hunt, not of one computation.
 	StealBatches       int64
 	TasksStolenBatched int64
 	// FailedSweeps counts steal sweeps that probed every other worker and
 	// found nothing — the consecutive-failure signal that escalates a
 	// worker's hunt from spinning through yielding to parking. Also zero in
-	// RunWithStats results, like StealAttempts.
+	// per-run results, like StealAttempts.
 	FailedSweeps int64
 	// TasksRun is the number of spawned tasks and scheduled loop pieces
-	// executed (excluding Run roots). Absent lazy loops it equals Spawns
-	// once all submitted computations finish, provided none were cancelled
-	// (see TasksSkipped).
+	// executed (excluding submitted roots). Absent lazy loops it equals
+	// Spawns once all submitted computations finish, provided none were
+	// cancelled (see TasksSkipped).
 	TasksRun int64
 	// TasksSkipped is the number of tasks abandoned without executing
 	// because their run was cancelled (by context, deadline, a sibling
@@ -192,7 +192,7 @@ type Stats struct {
 	// are rare by design — a spawn/sync region that fits in the local cap
 	// recycles frames with no global traffic at all — so a spike flags a
 	// workload whose producers and consumers are different workers (steal-
-	// heavy, or deep unbalanced trees). Zero in RunWithStats results:
+	// heavy, or deep unbalanced trees). Zero in per-run results:
 	// recycling is a property of the worker, not of one computation.
 	PoolRefills int64
 	PoolSpills  int64
@@ -222,7 +222,7 @@ type Stats struct {
 }
 
 // Stats aggregates the per-worker counters. A computation's counts are all
-// included once its Ticket.Wait (or Run) has returned; while it is in flight
+// included once its Ticket.Wait has returned; while it is in flight
 // each worker's spawn, task, chunk and live-frame counts may trail by up to
 // 1024 spawns or chunks (see publish).
 func (rt *Runtime) Stats() Stats {
@@ -311,7 +311,7 @@ func (rt *Runtime) Metrics() map[string]int64 {
 		"runs_canceled":      rt.runsCanceled.Load(),
 		"panics_quarantined": rt.panicsQuarantined.Load(),
 		// Serving-layer gauges and counters (see submit.go): roots queued in
-		// injection lanes right now, and cumulative admission outcomes.
+		// the injection queue right now, and cumulative admission outcomes.
 		"inject_queued": rt.injected.Load(),
 		// Memory layer (memory.go): the live gauge and runs cancelled for
 		// exceeding their budget (per-run budgets plus hard-watermark sheds).
@@ -327,10 +327,11 @@ func (rt *Runtime) Metrics() map[string]int64 {
 		m["mem_pressure_rejected"] = a.rejectedMemory
 		a.mu.Unlock()
 	}
+	queued := rt.inject.lens()
 	for c := 0; c < numQoS; c++ {
 		// Underscored class names: these keys feed the Prometheus exposition,
 		// whose metric names admit neither dots nor dashes.
-		m["queued_"+strings.ReplaceAll(QoSClass(c).String(), "-", "_")] = rt.queuedByClass[c].Load()
+		m["queued_"+strings.ReplaceAll(QoSClass(c).String(), "-", "_")] = int64(queued[c])
 	}
 	if s.Stalls > 0 || rt.san != nil {
 		m["stalls"] = s.Stalls

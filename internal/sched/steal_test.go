@@ -25,7 +25,7 @@ func TestUnparkWakeupLatency(t *testing.T) {
 
 	// Saturate the hunt first: one sleep-only root starves the other worker
 	// long enough to escalate its hunt fully (pre-fix, to saturate backoff).
-	if err := rt.Run(func(*Context) { time.Sleep(time.Millisecond) }); err != nil {
+	if err := mustSubmit(t, rt, func(*Context) { time.Sleep(time.Millisecond) }).Wait(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -36,7 +36,7 @@ func TestUnparkWakeupLatency(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		// All workers are parked, so this pickup must ride a wakeup.
 		start := time.Now()
-		if err := rt.Run(func(*Context) {}); err != nil {
+		if err := mustSubmit(t, rt, func(*Context) {}).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		if d := time.Since(start); d < best {
@@ -60,7 +60,7 @@ func TestStealBatchCounters(t *testing.T) {
 	// a thief's first probe finds a long deque and takes a batch. Retry a few
 	// times — scheduling on a loaded machine may drain the deque serially.
 	for try := 0; try < 20; try++ {
-		err := rt.Run(func(c *Context) {
+		err := mustSubmit(t, rt, func(c *Context) {
 			for i := 0; i < 256; i++ {
 				c.Spawn(func(*Context) {
 					x := 0
@@ -73,7 +73,7 @@ func TestStealBatchCounters(t *testing.T) {
 			// Yield the processor with the deque full, so on a single-CPU
 			// machine the hunters actually get scheduled against it.
 			time.Sleep(200 * time.Microsecond)
-		})
+		}).Wait()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,12 +122,12 @@ func TestHuntPhaseTrace(t *testing.T) {
 	before := rt.Stats()
 	rt.Tracer().Start()
 	// Phase 1: starve three workers long enough to escalate fully.
-	if err := rt.Run(func(*Context) { time.Sleep(time.Millisecond) }); err != nil {
+	if err := mustSubmit(t, rt, func(*Context) { time.Sleep(time.Millisecond) }).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	// Phase 2: a wide run so the trace also carries batch events.
 	for try := 0; try < 20; try++ {
-		err := rt.Run(func(c *Context) {
+		err := mustSubmit(t, rt, func(c *Context) {
 			for i := 0; i < 256; i++ {
 				c.Spawn(func(*Context) {
 					x := 0
@@ -140,7 +140,7 @@ func TestHuntPhaseTrace(t *testing.T) {
 			// Yield the processor with the deque full, so on a single-CPU
 			// machine the hunters actually get scheduled against it.
 			time.Sleep(200 * time.Microsecond)
-		})
+		}).Wait()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,27 +2,27 @@ package sched
 
 // This file is the canonical submission API: Submit hands the runtime a root
 // computation plus per-run options (stats, QoS class, priority, tenant
-// label, time/memory budget) and returns a *Ticket the caller awaits. The
-// pre-redesign entry points Run/RunCtx/RunWithStats/RunWithStatsCtx are thin
-// wrappers over the same path (see their Deprecated notes).
+// label, time/memory budget) and returns a *Ticket the caller awaits. It is
+// the runtime's one entry point.
 //
 // Submission-time failures — a canceled context, a shut-down runtime, an
 // admission or quota rejection — are returned by Submit itself and never
 // create a run; the run's own outcome (completion, cancellation, quarantined
 // panic) is what Ticket.Wait returns.
 //
-// Wake guarantee (the injected-root lost-wakeup fix): the enqueue of a root
-// into its lane, the rt.injected increment, and the cond.Signal all happen
-// while holding rt.mu, and a parking worker re-checks rt.injected under the
-// same mutex before it Waits. So for every queued root, either some worker
-// observed rt.injected > 0 on its pre-park re-check (and goes back to
-// sweeping), or every would-be parker was blocked on rt.mu until after the
-// Signal was issued with at least that root queued — a signal that, by the
-// condition-variable contract, wakes a waiter if one exists. Spawn-path
-// wakes may still be dropped (benign; see stealableWork); the root-injection
-// wake is the one enqueue whose producer will not execute the work itself,
-// and this pairing makes it unloseable. schedsan's Options.BreakInjectWake
-// suppresses exactly this Signal to prove the stall watchdog notices.
+// Wake guarantee (the injected-root lost-wakeup fix): the push of a root
+// into the injection queue, the rt.injected increment, and the cond.Signal
+// all happen while holding rt.mu, and a parking worker re-checks
+// rt.injected under the same mutex before it Waits. So for every queued
+// root, either some worker observed rt.injected > 0 on its pre-park
+// re-check (and goes back to sweeping), or every would-be parker was
+// blocked on rt.mu until after the Signal was issued with at least that
+// root queued — a signal that, by the condition-variable contract, wakes a
+// waiter if one exists. Spawn-path wakes may still be dropped (benign; see
+// stealableWork); the root-injection wake is the one enqueue whose producer
+// will not execute the work itself, and this pairing makes it unloseable.
+// schedsan's Options.BreakInjectWake suppresses exactly this Signal to
+// prove the stall watchdog notices.
 
 import (
 	"context"
@@ -79,8 +79,8 @@ func WithQoS(q QoSClass) RunOption {
 }
 
 // WithTenant labels the run with a tenant identity: quotas (WithAdmission),
-// per-tenant load accounting (LoadReport), observer reports, and lane
-// affinity (a tenant's roots are hashed to a stable lane) all key off it.
+// per-tenant load accounting (LoadReport) and observer reports key off it.
+// The label does not affect pickup order.
 func WithTenant(name string) RunOption {
 	return func(sc *submitCfg) { sc.tenant = name }
 }
@@ -173,9 +173,10 @@ func (tk *Ticket) Tenant() string { return tk.rs.tenant }
 // Class returns the run's QoS class.
 func (tk *Ticket) Class() QoSClass { return tk.rs.qos }
 
-// QueueLatency returns how long the root waited in its injection lane
+// QueueLatency returns how long the root waited in the injection queue
 // before a worker picked it up, or 0 while it is still queued (and always 0
-// in serial-elision mode, where there is no queue).
+// in serial-elision mode, where there is no queue). It may be called at any
+// time, including while the run is in flight.
 func (tk *Ticket) QueueLatency() time.Duration { return tk.rs.queueLatency() }
 
 // settle freezes the ticket's terminal stats and error, once.
@@ -195,15 +196,25 @@ func (tk *Ticket) settleWith(stats Stats, err error) {
 }
 
 // Submit enqueues fn as the root of a fork-join computation and returns a
-// Ticket for it. With default options it is Run's exact behavior split into
-// its two halves: Submit(ctx, fn) followed by Ticket.Wait is
-// RunCtx(ctx, fn) — same stats, same reducer fold order, same sentinel
-// errors. Submit returns an error only for submission-time failures: a
-// context already done (its mapped sentinel), a shut-down runtime
-// (ErrShutdown), or an admission rejection (ErrAdmission/ErrQuota, with no
-// run created); every outcome of a successfully submitted run is reported
-// by the Ticket. Submit may be called concurrently from any number of
-// goroutines.
+// Ticket for it; Ticket.Wait blocks until the computation — including
+// everything it spawned — completes. Submit may be called concurrently from
+// any number of goroutines; the computations share the workers (§3.2's
+// performance composability). A panic anywhere in the computation is
+// quarantined and reported by Wait as a *PanicError after all outstanding
+// work has drained; the runtime stays healthy for later submissions.
+//
+// The computation is cooperatively canceled when ctx is canceled or its
+// deadline passes, and Wait then returns ErrCanceled or
+// ErrDeadlineExceeded. Cancellation is abandonment, not interruption —
+// strands already running finish their current grain (or poll
+// Context.Cancelled and bail), strands not yet started are skipped, and
+// Wait returns only after the run's outstanding work has drained, so no
+// strand of the computation is still executing when it returns.
+//
+// Submit returns an error only for submission-time failures: a context
+// already done (its mapped sentinel), a shut-down runtime (ErrShutdown), or
+// an admission rejection (ErrAdmission/ErrQuota, with no run created); every
+// outcome of a successfully submitted run is reported by the Ticket.
 func (rt *Runtime) Submit(ctx context.Context, fn func(*Context), opts ...RunOption) (*Ticket, error) {
 	sc := submitCfg{qos: QoSBatch}
 	for _, o := range opts {
@@ -296,8 +307,6 @@ func (rt *Runtime) submit(ctx context.Context, fn func(*Context), sc submitCfg) 
 	}
 	rs.stop = stop
 
-	lane := rt.laneFor(rs.tenant)
-
 	rt.mu.Lock()
 	if rt.closed {
 		rt.mu.Unlock()
@@ -310,12 +319,11 @@ func (rt *Runtime) submit(ctx context.Context, fn func(*Context), sc submitCfg) 
 	}
 	rt.activeRoots++
 	rt.active[rs] = struct{}{}
-	lane.push(t, rs.qos, rs.prio)
+	rt.inject.push(t, rs.qos, rs.prio)
 	rt.injected.Add(1)
-	rt.queuedByClass[rs.qos].Add(1)
 	if s := rt.san; s != nil && s.opts.BreakInjectWake {
 		// Deliberately broken root announcement (test-only): the new work is
-		// visible in the lane and rt.injected but no parked worker is told.
+		// visible in the queue and rt.injected but no parked worker is told.
 		// This is the one fault that genuinely stalls the runtime — the
 		// watchdog acceptance tests use it to exercise detection and rescue.
 	} else {
@@ -346,14 +354,14 @@ func (rt *Runtime) report(rs *runState, snap Stats, err error) RunReport {
 //
 // Memory is charged at admit and returned at release. A queued root whose
 // context is canceled holds its queue slot until pickup — the skip-but-join
-// drain is what unwinds it — so MaxQueued bounds lane occupancy exactly.
+// drain is what unwinds it — so MaxQueued bounds queue occupancy exactly.
 // The admission mutex is leaf-level: it is never held while acquiring rt.mu
-// or a lane mutex.
+// or the injection queue's mutex.
 
 // Quota bounds one tenant's use of the runtime. Zero-valued fields are
 // unlimited.
 type Quota struct {
-	// MaxQueued bounds the tenant's roots waiting in injection lanes.
+	// MaxQueued bounds the tenant's roots waiting in the injection queue.
 	MaxQueued int
 	// MaxActive bounds the tenant's in-flight runs (queued + running).
 	MaxActive int
@@ -588,8 +596,8 @@ type LoadReport struct {
 	// Workers is the worker count; Parked is how many are currently parked
 	// (idle capacity).
 	Workers, Parked int
-	// Queued counts roots waiting in injection lanes, in total and by QoS
-	// class name.
+	// Queued counts roots waiting in the injection queue, in total and by
+	// QoS class name.
 	Queued        int
 	QueuedByClass map[string]int
 	// Running counts roots picked up and not yet finished.
@@ -611,11 +619,11 @@ func (rt *Runtime) LoadReport() LoadReport {
 	r := LoadReport{
 		Workers:       rt.cfg.workers,
 		Parked:        int(rt.parked.Load()),
-		Queued:        int(rt.injected.Load()),
 		QueuedByClass: make(map[string]int, numQoS),
 	}
-	for c := 0; c < numQoS; c++ {
-		r.QueuedByClass[QoSClass(c).String()] = int(rt.queuedByClass[c].Load())
+	for c, n := range rt.inject.lens() {
+		r.QueuedByClass[QoSClass(c).String()] = n
+		r.Queued += n
 	}
 	a := rt.adm
 	a.mu.Lock()

@@ -28,7 +28,7 @@ func TestTracedRunEventStream(t *testing.T) {
 	}
 	tr.Start()
 	var got int64
-	if err := rt.Run(func(c *Context) { fib(c, 16, &got) }); err != nil {
+	if err := mustSubmit(t, rt, func(c *Context) { fib(c, 16, &got) }).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	snap := tr.Stop()
@@ -77,7 +77,7 @@ func TestTracedRunEventStream(t *testing.T) {
 			}
 		}
 		if depth != 0 {
-			t.Fatalf("worker %d: %d tasks still open after Run returned", wid, depth)
+			t.Fatalf("worker %d: %d tasks still open after Wait returned", wid, depth)
 		}
 	}
 	if taskStarts != taskEnds {
@@ -133,7 +133,7 @@ func TestTracerDisabledByDefault(t *testing.T) {
 	rt := New(WithWorkers(2), WithTracing())
 	defer rt.Shutdown()
 	var got int64
-	if err := rt.Run(func(c *Context) { fib(c, 10, &got) }); err != nil {
+	if err := mustSubmit(t, rt, func(c *Context) { fib(c, 10, &got) }).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	snap := rt.Tracer().Stop()
@@ -149,7 +149,7 @@ func TestNoTracerWithoutOption(t *testing.T) {
 		t.Fatal("runtime has a tracer without the Tracing option")
 	}
 	var got int64
-	if err := rt.Run(func(c *Context) { fib(c, 10, &got) }); err != nil {
+	if err := mustSubmit(t, rt, func(c *Context) { fib(c, 10, &got) }).Wait(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -168,18 +168,16 @@ func TestTraceRunIDsDistinguishConcurrentRuns(t *testing.T) {
 	defer rt.Shutdown()
 	tr := rt.Tracer()
 	tr.Start()
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var got int64
-			if err := rt.Run(func(c *Context) { fib(c, 12, &got) }); err != nil {
-				t.Error(err)
-			}
-		}()
+	var got [3]int64
+	var tks []*Ticket
+	for i := range got {
+		tks = append(tks, mustSubmit(t, rt, func(c *Context) { fib(c, 12, &got[i]) }))
 	}
-	wg.Wait()
+	for _, tk := range tks {
+		if err := tk.Wait(); err != nil {
+			t.Error(err)
+		}
+	}
 	snap := tr.Stop()
 	runs := map[int64]bool{}
 	for _, events := range snap.Workers {
@@ -199,7 +197,8 @@ func TestRunWithStatsExactCounts(t *testing.T) {
 	rt := New(WithWorkers(4))
 	defer rt.Shutdown()
 	var got int64
-	s, err := rt.RunWithStats(func(c *Context) { fib(c, n, &got) })
+	tk := mustSubmit(t, rt, func(c *Context) { fib(c, n, &got) }, WithStats())
+	s, err := tk.Stats(), tk.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,22 +227,18 @@ func TestRunWithStatsConcurrentRunsToldApart(t *testing.T) {
 	rt := New(WithWorkers(4))
 	defer rt.Shutdown()
 	sizes := []int{12, 16}
+	got := make([]int64, len(sizes))
 	stats := make([]Stats, len(sizes))
-	var wg sync.WaitGroup
+	var tks []*Ticket
 	for i, n := range sizes {
-		wg.Add(1)
-		go func(i, n int) {
-			defer wg.Done()
-			var got int64
-			s, err := rt.RunWithStats(func(c *Context) { fib(c, n, &got) })
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			stats[i] = s
-		}(i, n)
+		tks = append(tks, mustSubmit(t, rt, func(c *Context) { fib(c, n, &got[i]) }, WithStats()))
 	}
-	wg.Wait()
+	for i, tk := range tks {
+		if err := tk.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		stats[i] = tk.Stats()
+	}
 	for i, n := range sizes {
 		if want := spawnCount(n); stats[i].Spawns != want {
 			t.Errorf("run fib(%d): Spawns = %d, want %d (leaked counts from the concurrent run?)",
@@ -259,7 +254,8 @@ func TestRunWithStatsSerialElision(t *testing.T) {
 	const n = 12
 	rt := New(WithSerialElision())
 	var got int64
-	s, err := rt.RunWithStats(func(c *Context) { fib(c, n, &got) })
+	tk := mustSubmit(t, rt, func(c *Context) { fib(c, n, &got) }, WithStats())
+	s, err := tk.Stats(), tk.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,19 +267,19 @@ func TestRunWithStatsSerialElision(t *testing.T) {
 	}
 }
 
-// TestStatsInvariants pins the documented global invariants after Run
+// TestStatsInvariants pins the documented global invariants after Wait
 // returns: every spawned task ran, and steals never exceed attempts.
 func TestStatsInvariants(t *testing.T) {
 	rt := New(WithWorkers(4))
 	defer rt.Shutdown()
 	for i := 0; i < 3; i++ {
 		var got int64
-		if err := rt.Run(func(c *Context) { fib(c, 15, &got) }); err != nil {
+		if err := mustSubmit(t, rt, func(c *Context) { fib(c, 15, &got) }).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		s := rt.Stats()
 		if s.TasksRun != s.Spawns {
-			t.Fatalf("after Run: TasksRun = %d != Spawns = %d", s.TasksRun, s.Spawns)
+			t.Fatalf("after Wait: TasksRun = %d != Spawns = %d", s.TasksRun, s.Spawns)
 		}
 		if s.Steals > s.StealAttempts {
 			t.Fatalf("Steals = %d > StealAttempts = %d", s.Steals, s.StealAttempts)
@@ -295,11 +291,11 @@ func TestStatsSub(t *testing.T) {
 	rt := New(WithWorkers(2))
 	defer rt.Shutdown()
 	var got int64
-	if err := rt.Run(func(c *Context) { fib(c, 12, &got) }); err != nil {
+	if err := mustSubmit(t, rt, func(c *Context) { fib(c, 12, &got) }).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	before := rt.Stats()
-	if err := rt.Run(func(c *Context) { fib(c, 12, &got) }); err != nil {
+	if err := mustSubmit(t, rt, func(c *Context) { fib(c, 12, &got) }).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	d := rt.Stats().Sub(before)
@@ -342,7 +338,7 @@ func TestMetrics(t *testing.T) {
 	rt := New(WithWorkers(2), WithTracing())
 	defer rt.Shutdown()
 	var got int64
-	if err := rt.Run(func(c *Context) { fib(c, 12, &got) }); err != nil {
+	if err := mustSubmit(t, rt, func(c *Context) { fib(c, 12, &got) }).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	m := rt.Metrics()

@@ -39,8 +39,8 @@ type Kind uint8
 
 const (
 	// KindTaskStart marks the beginning of a task's execution on a worker.
-	// Arg is the frame's spawn depth; Run is the id of the Run invocation
-	// the task belongs to. Tasks nest: a worker that steals while waiting
+	// Arg is the frame's spawn depth; Run is the id of the run the task
+	// belongs to. Tasks nest: a worker that steals while waiting
 	// at a sync records the stolen task inside the enclosing one.
 	KindTaskStart Kind = iota
 	// KindTaskEnd marks the completion of the most recently started task.
@@ -66,10 +66,10 @@ const (
 	KindUnpark
 	// KindTaskSkip marks a task abandoned without executing because its
 	// run was cancelled — the trace of work a cancellation avoided. Arg is
-	// the frame's spawn depth; Run is the cancelled Run invocation's id.
+	// the frame's spawn depth; Run is the cancelled run's id.
 	KindTaskSkip
 	// KindPanic marks a panic quarantined inside a task on this worker.
-	// Arg is the frame's spawn depth; Run is the poisoned Run's id.
+	// Arg is the frame's spawn depth; Run is the poisoned run's id.
 	KindPanic
 	// KindStealBatch marks a batch steal, recorded immediately after the
 	// KindStealSuccess event for the same operation (which carries the
@@ -83,11 +83,11 @@ const (
 	// KindLoopSplit marks a stolen lazy-loop range task being halved on this
 	// worker (the thief): the back half became a new stealable range task.
 	// Arg is the number of iterations in the half that was pushed; Run is the
-	// owning Run invocation's id.
+	// owning run's id.
 	KindLoopSplit
 	// KindChunkRun marks one grain-sized chunk of a lazy loop executing on
-	// this worker. Arg is the chunk's iteration count; Run is the owning Run
-	// invocation's id.
+	// this worker. Arg is the chunk's iteration count; Run is the owning run's
+	// id.
 	KindChunkRun
 
 	numKinds
@@ -113,7 +113,7 @@ func (k Kind) String() string {
 type Event struct {
 	// When is nanoseconds since the tracer's epoch (monotonic clock).
 	When int64
-	// Run is the id of the Run invocation (task-start events), else 0.
+	// Run is the id of the submitted run (task-start events), else 0.
 	Run int64
 	// Arg is the event argument: victim worker id for steal events, spawn
 	// depth for task-start events, 0 otherwise.
@@ -294,7 +294,7 @@ func (r *Recorder) record(k Kind, arg int32, run int64) {
 }
 
 // TaskStart records the beginning of a task at the given spawn depth,
-// belonging to the given Run invocation.
+// belonging to the given run.
 func (r *Recorder) TaskStart(depth int32, run int64) { r.record(KindTaskStart, depth, run) }
 
 // TaskEnd records the completion of the most recently started task.

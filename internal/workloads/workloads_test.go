@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -12,12 +13,23 @@ import (
 	"cilkgo/internal/sched"
 )
 
+// mustSubmit submits fn with opts under a background context and fails the
+// test if Submit refuses it; the caller awaits the returned Ticket.
+func mustSubmit(t testing.TB, rt *sched.Runtime, fn func(*sched.Context), opts ...sched.RunOption) *sched.Ticket {
+	t.Helper()
+	tk, err := rt.Submit(context.Background(), fn, opts...)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	return tk
+}
+
 func runPar(t *testing.T, p int, fn func(*sched.Context)) {
 	t.Helper()
 	rt := sched.New(sched.WithWorkers(p))
 	defer rt.Shutdown()
-	if err := rt.Run(fn); err != nil {
-		t.Fatalf("Run: %v", err)
+	if err := mustSubmit(t, rt, fn).Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
 	}
 }
 
@@ -58,7 +70,7 @@ func TestSerialQsortMatchesParallel(t *testing.T) {
 		SerialQsort(a, 16)
 		rt := sched.New(sched.WithWorkers(4))
 		defer rt.Shutdown()
-		if err := rt.Run(func(c *sched.Context) { Qsort(c, b, 16) }); err != nil {
+		if err := mustSubmit(t, rt, func(c *sched.Context) { Qsort(c, b, 16) }).Wait(); err != nil {
 			return false
 		}
 		return reflect.DeepEqual(a, b) && sort.Float64sAreSorted(a)

@@ -44,7 +44,7 @@ func BenchmarkSpawnFib(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var got int64
-		if err := rt.Run(func(c *cilkgo.Context) { got = workloads.Fib(c, 22) }); err != nil {
+		if err := mustSubmit(b, rt, func(c *cilkgo.Context) { got = workloads.Fib(c, 22) }).Wait(); err != nil {
 			b.Fatal(err)
 		}
 		if got != want {
@@ -67,11 +67,11 @@ func BenchmarkSpawnWideFlat(b *testing.B) {
 	before := rt.Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := rt.Run(func(c *cilkgo.Context) {
+		if err := mustSubmit(b, rt, func(c *cilkgo.Context) {
 			for j := 0; j < n; j++ {
 				c.Spawn(child)
 			}
-		}); err != nil {
+		}).Wait(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -101,9 +101,9 @@ func BenchmarkSpawnHyperFree(b *testing.B) {
 	before := rt.Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := rt.Run(func(c *cilkgo.Context) {
+		if err := mustSubmit(b, rt, func(c *cilkgo.Context) {
 			spawnTree(c, 11, func(*cilkgo.Context) {})
-		}); err != nil {
+		}).Wait(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -124,9 +124,9 @@ func BenchmarkSpawnReducerHeavy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sum := hyper.NewAdder[int64]()
-		if err := rt.Run(func(c *cilkgo.Context) {
+		if err := mustSubmit(b, rt, func(c *cilkgo.Context) {
 			spawnTree(c, 11, func(c *cilkgo.Context) { sum.Add(c, 1) })
-		}); err != nil {
+		}).Wait(); err != nil {
 			b.Fatal(err)
 		}
 		if got := sum.Value(); got != nodes {
