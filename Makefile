@@ -101,9 +101,11 @@ prof-spawn:
 # while a worker picks the root up — one queue lock sits between every
 # submitter and every idle worker) — and the fault-injected Gate/San suites
 # (forced claim/CAS failures, stretched claim windows, seeded fault
-# schedules) — repeated under the race detector (mirrors the CI job).
+# schedules), and pfor's chunk-local fold and ForRange partition tests —
+# repeated under the race detector (mirrors the CI job).
 stress-deque:
 	$(GO) test -race -count=5 -run 'StealBatch|GrowRacesThieves|ClearsSlots|UnparkWakeup|HuntPhase|RangeExactlyOnce|Gate|San|Lane|Starved|QueuedByClass|QueueLatency' ./internal/deque/ ./internal/sched/
+	$(GO) test -race -count=5 -run 'Reduce|ForRange' ./internal/pfor/
 	$(GO) test -race -count=5 -run 'TestAlloc' .
 
 # Schedule fuzzing: the pinned regression corpus plus 1000 fresh seeded fault

@@ -333,6 +333,15 @@ func ForGrain(ctx *Context, lo, hi, grain int, body func(ctx *Context, i int)) {
 	pfor.ForGrain(ctx, lo, hi, grain, body)
 }
 
+// ForRange is the range form of For, for hot loops: body(ctx, l, h) runs
+// once per serial chunk of at most one automatic grain and executes
+// iterations [l, h) itself. The chunks are disjoint and cover [lo, hi)
+// exactly once; their boundaries depend on the schedule, so per-chunk
+// floating-point accumulations re-associate from run to run.
+func ForRange(ctx *Context, lo, hi int, body func(ctx *Context, l, h int)) {
+	pfor.ForRange(ctx, lo, hi, body)
+}
+
 // Each runs body over every element of s in parallel.
 func Each[T any](ctx *Context, s []T, body func(ctx *Context, i int, v *T)) {
 	pfor.Each(ctx, s, body)

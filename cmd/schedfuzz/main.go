@@ -241,8 +241,9 @@ func properties(rt *sched.Runtime, res *trialResult, seed int64) {
 	}
 
 	// Property 2: ordered reducer fold. A list-append reducer over an
-	// in-order spawn tree must produce the exact serial order, no matter
-	// how views migrate, deposit, and fold under faults.
+	// in-order spawn tree, and pfor.Reduce's chunk-local fold of the same
+	// leaves with a list-append monoid, must each produce the exact serial
+	// order, no matter how views migrate, deposit, and fold under faults.
 	{
 		const n = 1024
 		l := hyper.NewListAppend[int]()
@@ -257,20 +258,32 @@ func properties(rt *sched.Runtime, res *trialResult, seed int64) {
 			walk(c, mid, hi)
 			c.Sync()
 		}
-		tk, err := rt.Submit(context.Background(), func(c *sched.Context) { walk(c, 0, n) })
+		appendList := hyper.FuncMonoid(
+			func() []int { return nil },
+			func(a, b []int) []int { return append(a, b...) },
+		)
+		var reduced []int
+		tk, err := rt.Submit(context.Background(), func(c *sched.Context) {
+			walk(c, 0, n)
+			reduced = pfor.Reduce(c, 0, n, appendList, func(_ *sched.Context, i int) []int { return []int{i} })
+		})
 		if err == nil {
 			err = tk.Wait()
 		}
 		if err != nil {
 			addf("fold property: unexpected error %v", err)
 		}
-		got := l.Value()
-		if len(got) != n {
-			addf("fold property: %d elements, want %d", len(got), n)
-		} else {
-			for i, x := range got {
+		for _, fold := range []struct {
+			name string
+			got  []int
+		}{{"spawn-tree", l.Value()}, {"pfor.Reduce", reduced}} {
+			if len(fold.got) != n {
+				addf("fold property: %s fold has %d elements, want %d", fold.name, len(fold.got), n)
+				continue
+			}
+			for i, x := range fold.got {
 				if x != i {
-					addf("fold property: serial order broken at %d: got %d", i, x)
+					addf("fold property: %s serial order broken at %d: got %d", fold.name, i, x)
 					break
 				}
 			}

@@ -321,12 +321,14 @@ func matmul(c *cilkgo.Context, n int) float64 {
 }
 
 // sinsum fills an n-element array with sines in parallel (the paper's
-// Fig. 1 loop) and folds the sum on the calling strand after the loop's
-// implicit sync.
+// Fig. 1 loop, one body call per chunk) and folds the sum on the calling
+// strand after the loop's implicit sync.
 func sinsum(c *cilkgo.Context, n int) float64 {
 	a := make([]float64, n)
-	cilkgo.For(c, 0, n, func(c *cilkgo.Context, i int) {
-		a[i] = math.Sin(float64(i))
+	cilkgo.ForRange(c, 0, n, func(c *cilkgo.Context, l, h int) {
+		for i := l; i < h; i++ {
+			a[i] = math.Sin(float64(i))
+		}
 	})
 	var sum float64
 	for _, v := range a {

@@ -43,13 +43,24 @@ type funcMonoid[T any] struct {
 func (m funcMonoid[T]) Identity() T      { return m.identity() }
 func (m funcMonoid[T]) Combine(l, r T) T { return m.combine(l, r) }
 
+// CombineFunc returns m's combine as a plain function, for hot loops: a
+// FuncMonoid's own combine, and m.Combine for any other monoid. Calling it
+// is one indirect call instead of an interface call to a generic method
+// that calls the closure.
+func CombineFunc[T any](m Monoid[T]) func(left, right T) T {
+	if fm, ok := m.(funcMonoid[T]); ok {
+		return fm.combine
+	}
+	return m.Combine
+}
+
 // Reducer is a reducer hyperobject over monoid m. Create one with New (or
 // one of the typed constructors in this package), update it through View
 // from any strand, and read the final reduced value with Value after the
 // computation completes.
 //
-// A Reducer may be reused across Run invocations; each run starts from the
-// identity and Value reflects the most recently completed run.
+// A Reducer may be reused across Submit calls; each computation starts from
+// the identity and Value reflects the most recently completed one.
 type Reducer[T any] struct {
 	monoid   Monoid[T]
 	final    T
@@ -100,9 +111,9 @@ func (r *Reducer[T]) View(c *sched.Context) *T {
 }
 
 // Value returns the final reduced value of the most recently completed
-// computation. It must be called after Run returns (the runtime establishes
-// the necessary happens-before edge). If the reducer was never touched, the
-// monoid identity is returned.
+// computation. It must be called after the computation's Ticket.Wait
+// returns (the runtime establishes the necessary happens-before edge). If
+// the reducer was never touched, the monoid identity is returned.
 func (r *Reducer[T]) Value() T {
 	if !r.hasFinal {
 		return r.monoid.Identity()

@@ -70,6 +70,32 @@ func For(c *sched.Context, lo, hi int, body func(c *sched.Context, i int)) {
 // implicit sync joins only the loop's own iterations, not other children
 // the caller may have spawned (the loop body runs in a called frame).
 func ForGrain(c *sched.Context, lo, hi, grain int, body func(c *sched.Context, i int)) {
+	forRange(c, lo, hi, grain, perIndex(body))
+}
+
+// ForRange is the range form of For, for hot loops: body(c, l, h) runs once
+// per serial chunk and must execute iterations [l, h) itself. The chunks are
+// disjoint, cover [lo, hi) exactly once, are at most one automatic grain
+// long, and are joined by the loop's implicit sync. A loop body pays one
+// call per chunk instead of one per iteration. Chunk boundaries depend on
+// the schedule, so a body that accumulates floating-point values per chunk
+// re-associates them differently from run to run.
+func ForRange(c *sched.Context, lo, hi int, body func(c *sched.Context, l, h int)) {
+	forRange(c, lo, hi, Grain(hi-lo, c.Runtime().Workers()), body)
+}
+
+// perIndex adapts a per-iteration loop body to the range form.
+func perIndex(body func(c *sched.Context, i int)) func(c *sched.Context, l, h int) {
+	return func(c *sched.Context, l, h int) {
+		for i := l; i < h; i++ {
+			body(c, i)
+		}
+	}
+}
+
+// forRange runs the range body over [lo, hi) in chunks of at most grain
+// iterations, inside a called frame of its own.
+func forRange(c *sched.Context, lo, hi, grain int, body func(c *sched.Context, l, h int)) {
 	if grain < 1 {
 		grain = 1
 	}
@@ -89,20 +115,16 @@ func ForGrain(c *sched.Context, lo, hi, grain int, body func(c *sched.Context, i
 	// a private sync scope, so the implicit sync joins exactly the loop's
 	// iterations and the reducer fold order is the serial loop's.
 	c.Call(func(c *sched.Context) {
-		c.LoopRange(lo, hi, grain, func(c *sched.Context, l, h int) {
-			for i := l; i < h; i++ {
-				body(c, i)
-			}
-		})
+		c.LoopRange(lo, hi, grain, body)
 	})
 }
 
 // forRec recursively halves [lo, hi), spawning the left half and recursing
-// into the right, exactly the divide-and-conquer elision of cilk_for. The
-// enclosing called frame issues the implicit sync. A cancelled run stops
-// the recursion before each split and before each serial chunk, so no new
-// chunk starts once cancellation is observed.
-func forRec(c *sched.Context, lo, hi, grain int, body func(c *sched.Context, i int)) {
+// into the right, exactly the divide-and-conquer elision of cilk_for; each
+// leaf runs as one body call. The enclosing called frame issues the implicit
+// sync. A cancelled run stops the recursion before each split and before
+// each serial chunk, so no new chunk starts once cancellation is observed.
+func forRec(c *sched.Context, lo, hi, grain int, body func(c *sched.Context, l, h int)) {
 	for hi-lo > grain {
 		if c.Cancelled() {
 			return
@@ -115,9 +137,7 @@ func forRec(c *sched.Context, lo, hi, grain int, body func(c *sched.Context, i i
 	if c.Cancelled() {
 		return
 	}
-	for i := lo; i < hi; i++ {
-		body(c, i)
-	}
+	body(c, lo, hi)
 }
 
 // Each runs body over every element of s in parallel: body(c, i, &s[i]).
@@ -149,15 +169,41 @@ func For2D(c *sched.Context, lo1, hi1, lo2, hi2 int, body func(c *sched.Context,
 // the results with the monoid in ascending index order — a map-reduce over
 // the iteration space built on a reducer hyperobject, so no locks and no
 // contention are involved and the fold order matches the serial loop's.
-// The reducer comes from a per-type pool (hyper.Acquire/Release), so a
-// Reduce in steady state does not allocate a fresh hyperobject per call.
+//
+// Each chunk folds its iterations into a local accumulator seeded from the
+// identity and combines it into the reducer view once (see ReduceRange).
+// The result is exact for every associative monoid. Floating-point sums are
+// not associative: they are re-associated at chunk boundaries, which depend
+// on the schedule, so two runs may differ in the last bits.
 func Reduce[T any](c *sched.Context, lo, hi int, m hyper.Monoid[T], body func(c *sched.Context, i int) T) T {
-	red := hyper.Acquire(m)
-	For(c, lo, hi, func(c *sched.Context, i int) {
-		v := red.View(c)
-		*v = m.Combine(*v, body(c, i))
+	comb := hyper.CombineFunc(m)
+	return ReduceRange(c, lo, hi, m, func(c *sched.Context, l, h int) T {
+		acc := m.Identity()
+		for i := l; i < h; i++ {
+			acc = comb(acc, body(c, i))
+		}
+		return acc
 	})
-	// For has synced, so the calling strand's view holds the full fold.
+}
+
+// ReduceRange is the range form of Reduce: body(c, l, h) returns the fold of
+// iterations [l, h), and the per-chunk results are combined with the monoid
+// in ascending chunk order. The chunks are ForRange's. The reducer comes
+// from a per-type pool (hyper.Acquire/Release), so a ReduceRange in steady
+// state does not allocate a fresh hyperobject per call. As with Reduce,
+// floating-point results are re-associated at schedule-dependent chunk
+// boundaries.
+func ReduceRange[T any](c *sched.Context, lo, hi int, m hyper.Monoid[T], body func(c *sched.Context, l, h int) T) T {
+	red := hyper.Acquire(m)
+	comb := hyper.CombineFunc(m)
+	ForRange(c, lo, hi, func(c *sched.Context, l, h int) {
+		// Take the view after the body: a body that spawns seals the
+		// strand's view segment, and the chunk's result belongs after it.
+		part := body(c, l, h)
+		v := red.View(c)
+		*v = comb(*v, part)
+	})
+	// ForRange has synced, so the calling strand's view holds the full fold.
 	out := *red.View(c)
 	hyper.Release(c, red)
 	return out

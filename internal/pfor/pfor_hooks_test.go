@@ -51,6 +51,41 @@ func TestForGrainHookOrder(t *testing.T) {
 	}
 }
 
+// TestForRangeHookStreamMatchesFor: the range form changes how many body
+// calls a chunk costs, not the dag. Under the serial elision ForRange's hook
+// stream, with its iterations marked, equals For's over the same range.
+func TestForRangeHookStreamMatchesFor(t *testing.T) {
+	stream := func(loop func(c *sched.Context, rec *hookLog)) string {
+		rec := &hookLog{}
+		rt := sched.New(sched.WithSerialElision(), sched.WithHooks(rec))
+		tk, err := rt.Submit(context.Background(), func(c *sched.Context) { loop(c, rec) })
+		if err == nil {
+			err = tk.Wait()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec.String()
+	}
+	const lo, hi = 3, 103 // 100 iterations: the automatic grain makes 8 chunks
+	perIter := stream(func(c *sched.Context, rec *hookLog) {
+		pfor.For(c, lo, hi, func(c *sched.Context, i int) { rec.mark(fmt.Sprintf("b%d", i)) })
+	})
+	ranged := stream(func(c *sched.Context, rec *hookLog) {
+		pfor.ForRange(c, lo, hi, func(c *sched.Context, l, h int) {
+			for i := l; i < h; i++ {
+				rec.mark(fmt.Sprintf("b%d", i))
+			}
+		})
+	})
+	if ranged != perIter {
+		t.Fatalf("hook streams differ:\n   For %s\nForRange %s", perIter, ranged)
+	}
+	if n := strings.Count(perIter, "SP"); n != 7 {
+		t.Fatalf("For spawned %d times, want 7 (8 chunks)", n)
+	}
+}
+
 // TestNestedForHookStructure runs a cilk_for inside a cilk_for and checks
 // the structural invariants of the hook stream rather than one exact
 // interleaving: brackets balance, spawned frames are announced, and every

@@ -24,7 +24,13 @@ func mustSubmit(t testing.TB, rt *sched.Runtime, fn func(*sched.Context), opts .
 
 func runPar(t *testing.T, p int, fn func(*sched.Context)) {
 	t.Helper()
-	rt := sched.New(sched.WithWorkers(p))
+	runOn(t, []sched.Option{sched.WithWorkers(p)}, fn)
+}
+
+// runOn runs fn as one computation on a fresh runtime built from opts.
+func runOn(t *testing.T, opts []sched.Option, fn func(*sched.Context)) {
+	t.Helper()
+	rt := sched.New(opts...)
 	defer rt.Shutdown()
 	if err := mustSubmit(t, rt, fn).Wait(); err != nil {
 		t.Fatalf("Wait: %v", err)

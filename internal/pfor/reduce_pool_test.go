@@ -50,57 +50,101 @@ func TestReducePooledReuse(t *testing.T) {
 	}
 }
 
-// TestReduceAllocs pins the allocation profile of a pooled Reduce on the
-// serial elision (the deterministic schedule): steady-state cost must not
-// include a fresh Reducer per invocation and must stay flat in n — the
-// per-iteration path is the cached view lookup, which allocates nothing.
+// reduceForms are the two entry points of the chunk fold, each summing the
+// indices of [0, n).
+var reduceForms = []struct {
+	name string
+	sum  func(c *sched.Context, n int) int
+}{
+	{"Reduce", func(c *sched.Context, n int) int {
+		return Reduce(c, 0, n, sumMonoid, func(c *sched.Context, i int) int { return i })
+	}},
+	{"ReduceRange", func(c *sched.Context, n int) int {
+		return ReduceRange(c, 0, n, sumMonoid, func(c *sched.Context, l, h int) int {
+			s := 0
+			for i := l; i < h; i++ {
+				s += i
+			}
+			return s
+		})
+	}},
+}
+
+// TestReduceAllocs pins the allocation profile of a pooled Reduce and
+// ReduceRange: steady-state cost must not include a fresh Reducer per
+// invocation and must stay flat in n — a chunk folds into a local
+// accumulator seeded from the monoid identity (no allocation for a value
+// type) and touches the reducer view once.
 func TestReduceAllocs(t *testing.T) {
-	rt := sched.New(sched.WithSerialElision())
-	defer rt.Shutdown()
-	run := func(n int) func() {
-		return func() {
-			if err := mustSubmit(t, rt, func(c *sched.Context) {
-				Reduce(c, 0, n, sumMonoid, func(c *sched.Context, i int) int { return i })
-			}).Wait(); err != nil {
-				t.Fatal(err)
+	cases := []struct {
+		name         string
+		opts         []sched.Option
+		small, large int
+		slack        float64 // allocs the large run may add over the small one
+	}{
+		// The serial elision (the deterministic schedule) costs the per-run
+		// bookkeeping, the loop's spawn-tree closures/contexts (constant up to
+		// n = 16384: the auto grain scales with n), and one view per strand
+		// segment — ~30 allocations in all.
+		{"serial", []sched.Option{sched.WithSerialElision()}, 256, 4096, 32},
+		// One worker runs the loop as a single lazily peeled range task: no
+		// spawn tree, so the count must not move at all with n.
+		{"P=1", []sched.Option{sched.WithWorkers(1)}, 256, 65536, 2},
+	}
+	for _, tc := range cases {
+		rt := sched.New(tc.opts...)
+		for _, form := range reduceForms {
+			run := func(n int) func() {
+				return func() {
+					var got int
+					if err := mustSubmit(t, rt, func(c *sched.Context) { got = form.sum(c, n) }).Wait(); err != nil {
+						t.Fatal(err)
+					}
+					if got != n*(n-1)/2 {
+						t.Fatalf("%s %s: sum = %d", tc.name, form.name, got)
+					}
+				}
+			}
+			run(tc.large)() // warm the reducer/task/frame pools
+			small := testing.AllocsPerRun(50, run(tc.small))
+			large := testing.AllocsPerRun(50, run(tc.large))
+			t.Logf("%s %s: %.0f allocs/op (n=%d), %.0f (n=%d)", tc.name, form.name, small, tc.small, large, tc.large)
+			// The bound has headroom for pool misses; what it must catch is a
+			// reintroduced per-call reducer allocation chain or any
+			// per-iteration or per-chunk allocation.
+			const bound = 64
+			if small > bound || large > bound {
+				t.Errorf("%s %s allocs/op = %.0f (n=%d), %.0f (n=%d); want ≤ %d",
+					tc.name, form.name, small, tc.small, large, tc.large, bound)
+			}
+			if large > small+tc.slack {
+				t.Errorf("%s %s allocs grew with n: %.0f (n=%d) → %.0f (n=%d)",
+					tc.name, form.name, small, tc.small, large, tc.large)
 			}
 		}
-	}
-	run(4096)() // warm the reducer/task/frame pools
-	small := testing.AllocsPerRun(50, run(256))
-	large := testing.AllocsPerRun(50, run(4096))
-	// The serial elision of a pooled Reduce costs the per-run bookkeeping, the
-	// loop's spawn-tree closures/contexts (constant: the auto grain scales
-	// with n), and one view per strand segment — ~30 allocations in all.
-	// The bound has headroom for pool misses; what it must catch is a
-	// reintroduced per-call reducer allocation chain or any per-iteration
-	// allocation.
-	const bound = 64
-	if small > bound || large > bound {
-		t.Errorf("Reduce allocs/op = %.0f (n=256), %.0f (n=4096); want ≤ %d", small, large, bound)
-	}
-	if large > small*2 {
-		t.Errorf("Reduce allocs grew with n: %.0f (n=256) → %.0f (n=4096)", small, large)
+		rt.Shutdown()
 	}
 }
 
-// BenchmarkReduceIteration measures the per-iteration cost of Reduce — the
-// view-lookup fast path dominates it — on the parallel runtime.
+// BenchmarkReduceIteration measures the per-iteration cost of Reduce and
+// ReduceRange on the parallel runtime. Reduce pays the body call and one
+// combine per iteration; ReduceRange pays one body call per chunk.
 func BenchmarkReduceIteration(b *testing.B) {
 	rt := sched.New(sched.WithWorkers(4))
 	defer rt.Shutdown()
 	const n = 1 << 16
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var got int
-		if err := mustSubmit(b, rt, func(c *sched.Context) {
-			got = Reduce(c, 0, n, sumMonoid, func(c *sched.Context, i int) int { return i })
-		}).Wait(); err != nil {
-			b.Fatal(err)
-		}
-		if got != n*(n-1)/2 {
-			b.Fatalf("Reduce = %d", got)
-		}
+	for _, form := range reduceForms {
+		b.Run(form.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var got int
+				if err := mustSubmit(b, rt, func(c *sched.Context) { got = form.sum(c, n) }).Wait(); err != nil {
+					b.Fatal(err)
+				}
+				if got != n*(n-1)/2 {
+					b.Fatalf("%s = %d", form.name, got)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/iter")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/iter")
 }

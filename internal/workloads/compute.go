@@ -117,7 +117,7 @@ func NQueens(c *sched.Context, n int) int64 {
 	c.Sync()
 	// After the sync every descendant view has folded into this strand's
 	// view, so the count is readable mid-computation (Reducer.Value is only
-	// for after Run returns).
+	// for after Ticket.Wait returns).
 	return *count.View(c)
 }
 
