@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-layout bench-serve prof-spawn stress-deque fuzz-sched fuzz-sched-long clean
+.PHONY: all build vet test race bench bench-smoke bench-layout bench-serve prof-spawn prof-obs stress-deque fuzz-sched fuzz-sched-long clean
 
 all: build vet test
 
@@ -90,10 +90,18 @@ bench-serve:
 # Spawn fast-path profiles: CPU and allocation pprof captures of the
 # spawn-dense fib shape, for digging into a spawn-path regression.
 prof-spawn:
-	$(GO) test -run '^$$' -bench 'BenchmarkSpawnFib' -benchtime 2s \
+	$(GO) test -run '^$$' -bench 'BenchmarkSpawnFib$$' -benchtime 2s \
 		-cpuprofile spawn_cpu.out -memprofile spawn_mem.out .
 	@echo "inspect with: $(GO) tool pprof -top spawn_cpu.out"
 	@echo "              $(GO) tool pprof -top -sample_index=alloc_objects spawn_mem.out"
+
+# The same captures of the same shape with a run observer armed: the online
+# work/span clocks and per-run accounting on the spawn path.
+prof-obs:
+	$(GO) test -run '^$$' -bench 'BenchmarkSpawnFibObserved$$' -benchtime 2s \
+		-cpuprofile obs_cpu.out -memprofile obs_mem.out .
+	@echo "inspect with: $(GO) tool pprof -top obs_cpu.out"
+	@echo "              $(GO) tool pprof -top -sample_index=alloc_objects obs_mem.out"
 
 # Deque stress: the grow-vs-thieves and batch-steal tests plus the scheduler's
 # steal-path and lazy-loop exactly-once tests, the injection-queue tests (DRR
@@ -124,4 +132,4 @@ fuzz-sched-long:
 
 clean:
 	rm -rf .bench_build
-	rm -f trace.json spawn_cpu.out spawn_mem.out cilkgo.test
+	rm -f trace.json spawn_cpu.out spawn_mem.out obs_cpu.out obs_mem.out cilkgo.test

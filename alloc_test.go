@@ -9,6 +9,7 @@ package cilkgo_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"cilkgo"
@@ -61,6 +62,80 @@ func TestAllocSpawnSyncPingPong(t *testing.T) {
 	}).Wait()
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllocObservedSpawnSyncPingPong is the ping-pong gate on a runtime
+// built WithObserver: the online clocks and the per-run accounting count in
+// plain per-worker fields, so arming them adds no allocation per spawn.
+func TestAllocObservedSpawnSyncPingPong(t *testing.T) {
+	rt := cilkgo.New(cilkgo.WithWorkers(2), cilkgo.WithObserver(cilkgo.NewObserver(0)))
+	defer rt.Shutdown()
+	child := func(*cilkgo.Context) {}
+	err := mustSubmit(t, rt, func(c *cilkgo.Context) {
+		gateAllocs(t, "observed spawn/sync ping-pong", 1, func() {
+			c.Spawn(child)
+			c.Sync()
+		})
+	}).Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAllocObservedRunSwitch pins the run-switch flush: two observed runs
+// in flight at once on two workers, each a closure-free binary spawn tree,
+// so a worker waiting in one run's sync steals and runs the other's
+// subtrees and its per-run accounting switches runs. The steals grow with
+// the trees; allocations per pair of runs must not — they are the two
+// Submit round trips, whatever the tree size. The count is taken at full
+// parallelism (AllocsPerRun would pin GOMAXPROCS to 1, and with one
+// processor the workers seldom steal).
+func TestAllocObservedRunSwitch(t *testing.T) {
+	rt := cilkgo.New(cilkgo.WithWorkers(2), cilkgo.WithObserver(cilkgo.NewObserver(0)))
+	defer rt.Shutdown()
+	pair := func(depth int) float64 {
+		var node func(c *cilkgo.Context)
+		node = func(c *cilkgo.Context) {
+			if c.Depth() < depth {
+				c.Spawn(node)
+				c.Spawn(node)
+				c.Sync()
+			}
+		}
+		var steals int64
+		f := func() {
+			a, b := mustSubmit(t, rt, node), mustSubmit(t, rt, node)
+			if err := a.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			steals += a.Stats().Steals + b.Stats().Steals
+		}
+		f()
+		const pairs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < pairs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.Mallocs-before.Mallocs) / pairs
+		t.Logf("depth %d: %.2f allocs per pair of runs, %d steals in all", depth, got, steals)
+		return got
+	}
+	if raceEnabled {
+		// The shapes still run; the counts are the race runtime's.
+		pair(4)
+		pair(8)
+		t.Log("-race build, allocation gate not enforced")
+		return
+	}
+	small, large := pair(4), pair(14)
+	if large > small+1 {
+		t.Errorf("a pair of runs allocated %.2f at depth 14 against %.2f at depth 4: allocations grow with the run", large, small)
 	}
 }
 

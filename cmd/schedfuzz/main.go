@@ -4,7 +4,7 @@
 // memory-accounting non-negativity) under thousands of seeded fault
 // schedules — forced steal/claim failures, stretched race windows, dropped
 // and duplicated wakeups, leaked pool objects — with the runtime invariant
-// checker and stall watchdog armed.
+// checker and stall watchdog armed, and on odd seeds a run observer too.
 //
 // Every trial is reproducible: the fault schedule is a pure function of its
 // seed. A failing trial is re-run under shrunken fault plans until no rule
@@ -180,7 +180,13 @@ func runTrial(plan schedsan.Plan, stallAfter, deadline time.Duration) *trialResu
 		OnStall: func(rep *schedsan.Report) { res.addf("%s", rep) },
 	}
 	workers := 2 << (plan.Seed % 3) // 2, 4, or 8
-	rt := sched.New(sched.WithWorkers(workers), sched.WithSanitize(opts))
+	rtOpts := []sched.Option{sched.WithWorkers(workers), sched.WithSanitize(opts)}
+	if plan.Seed%2 != 0 {
+		// Odd seeds arm the online work/span clocks and per-run accounting,
+		// so every property also runs through the workers' run mirrors.
+		rtOpts = append(rtOpts, sched.WithRunObserver(nopObserver{}))
+	}
+	rt := sched.New(rtOpts...)
 
 	done := make(chan struct{})
 	go func() {
@@ -199,6 +205,12 @@ func runTrial(plan schedsan.Plan, stallAfter, deadline time.Duration) *trialResu
 	}
 	return res
 }
+
+// nopObserver is the trivial RunObserver odd-seed trials arm.
+type nopObserver struct{}
+
+func (nopObserver) RunStart(int64, time.Time) {}
+func (nopObserver) RunEnd(sched.RunReport)    {}
 
 // properties is the suite every trial runs. Each property is a correctness
 // statement the fault schedule must not be able to break. seed parameterizes
@@ -291,7 +303,8 @@ func properties(rt *sched.Runtime, res *trialResult, seed int64) {
 	}
 
 	// Property 3: spawn-tree determinism. fib's value is wrong if any
-	// spawned task is lost, duplicated, or joined early.
+	// spawned task is lost, duplicated, or joined early. On an observed
+	// runtime the run's online work must be positive and bound its span.
 	{
 		var got int64
 		var fib func(c *sched.Context, n int, out *int64)
@@ -319,6 +332,9 @@ func properties(rt *sched.Runtime, res *trialResult, seed int64) {
 		}
 		if stats.TasksRun != stats.Spawns {
 			addf("fib property: spawns=%d tasksRun=%d, want equal", stats.Spawns, stats.TasksRun)
+		}
+		if rt.RunObserver() != nil && (stats.Work <= 0 || stats.Span > stats.Work) {
+			addf("fib property: observed run has work %v, span %v; want 0 < span ≤ work", stats.Work, stats.Span)
 		}
 	}
 

@@ -31,13 +31,11 @@ type Context struct {
 	ckey  any
 	cview View
 
-	// Online work/span clock fields (see obs.go), used only on observed
-	// runs. strandStart is the nanots timestamp at which the current strand
-	// segment opened; spanLocal is the span accumulated along this frame's
-	// strand (segment durations plus folded child spans). Only this frame's
-	// strand touches them.
-	strandStart int64
-	spanLocal   int64
+	// spanLocal is the online span accumulated along this frame's strand
+	// (segment durations plus folded child spans; see obs.go), used only on
+	// observed runs and touched only by this frame's strand. The open
+	// segment started at the worker's last clock read (worker.clk).
+	spanLocal int64
 }
 
 // Runtime returns the runtime executing this computation.
@@ -75,10 +73,10 @@ func (c *Context) Spawn(fn func(*Context)) {
 	if f.run.cancelled() {
 		return
 	}
-	if cl := f.run.clock; cl != nil {
+	if f.run.clock != nil {
 		// Observed run: the spawn ends the current strand segment — charge
 		// it, so the child's spawnSpan below is the span at the spawn point.
-		c.charge(cl)
+		c.charge()
 	}
 	ord := f.nextOrdinal
 	f.nextOrdinal++
@@ -101,8 +99,8 @@ func (c *Context) Spawn(fn func(*Context)) {
 	if w.hot.spawns&(publishEvery-1) == 0 {
 		w.publish()
 	}
-	if s := f.run.stats; s != nil {
-		bump(&s.cells[w.id].spawns)
+	if f.run.stats != nil {
+		w.acct(f.run).c.spawns++
 	}
 	w.rec.Spawn()
 	// Wake a parked worker only when this push made the deque non-empty: a
@@ -175,21 +173,17 @@ func (c *Context) Call(fn func(*Context)) {
 	}
 	// The callee borrows the child frame's embedded Context — a Call
 	// allocates nothing on a warm freelist.
+	//
+	// A called frame stays on the caller's strand: the callee continues the
+	// caller's open segment and accumulated span, and the caller absorbs the
+	// span back when the call returns — so the strand's span threads through
+	// the call as if it were inlined. spanLocal is zero on unobserved runs,
+	// so the copies need no clock gate.
 	cc := &child.ctx
-	cc.w, cc.rt, cc.views = w, c.rt, c.views
-	cl := c.frame.run.clock
-	if cl != nil {
-		// A called frame stays on the caller's strand: the callee's clock
-		// continues the caller's open segment and accumulated span, and the
-		// caller absorbs both back when the call returns — so the strand's
-		// span threads through the call as if it were inlined.
-		cc.strandStart, cc.spanLocal = c.strandStart, c.spanLocal
-	}
+	cc.w, cc.rt, cc.views, cc.spanLocal = w, c.rt, c.views, c.spanLocal
 	fn(cc)
 	cc.Sync() // implicit sync of the called frame
-	if cl != nil {
-		c.strandStart, c.spanLocal = cc.strandStart, cc.spanLocal
-	}
+	c.spanLocal = cc.spanLocal
 	c.views = cc.views
 	c.ckey, c.cview = nil, nil
 	if h != nil {
@@ -215,20 +209,21 @@ func (c *Context) Sync() {
 		}
 		return
 	}
-	cl := c.frame.run.clock
-	if cl != nil {
-		// The sync ends the strand segment; the wait itself is excluded
-		// from both clocks (a sync edge has zero weight in the dag model —
-		// the worker may run unrelated tasks while it waits, and those
-		// charge their own runs).
-		c.charge(cl)
+	f := c.frame
+	// On an observed run a sync with something to join ends the strand
+	// segment; the wait itself is excluded from both clocks (a sync edge has
+	// zero weight in the dag model — the worker may run unrelated tasks
+	// while it waits, and those charge their own runs). A region that
+	// spawned nothing and started no loop has nothing to join: for the
+	// clocks that sync is no boundary, and the open segment continues.
+	timed := f.run.clock != nil && (f.spawned != 0 || f.nextLoopSeq != 0)
+	if timed {
+		c.charge()
 	}
 	c.syncWait()
-	if cl != nil {
-		c.strandStart = c.rt.nanots()
-		c.foldSpanChildren()
+	if timed {
+		c.resumeSync()
 	}
-	f := c.frame
 	if f.nextOrdinal > 0 || f.nextLoopSeq > 0 {
 		// Fold only when some hyperobject bookkeeping actually landed this
 		// region — a sealed segment or a deposit. Otherwise the fold is the

@@ -100,11 +100,14 @@ type frame struct {
 	// Online work/span fields (see obs.go), live only on observed runs.
 	// spawnSpan is the parent's local span at the instant this frame was
 	// spawned (written by the parent's strand before the task is pushed,
-	// published by the deque's synchronization). spanChild is the max over
-	// completed children of spawnSpan_child + span_child, deposited
-	// concurrently by the children and folded by this frame's Sync.
-	spawnSpan int64
-	spanChild atomic.Int64
+	// published by the deque's synchronization). spanInline and spanChild
+	// hold the max over completed children of spawnSpan_child + span_child,
+	// split like the join: a child (or loop episode) that completes on this
+	// frame's strand deposits into the plain spanInline, any other into the
+	// shared spanChild. This frame's Sync folds both.
+	spawnSpan  int64
+	spanInline int64
+	spanChild  atomic.Int64
 
 	// t and ctx are the frame's spawn task and execution Context, embedded
 	// so one allocation covers all three objects a spawn needs (the
@@ -439,25 +442,19 @@ func (rs *runState) release() {
 
 // runCell is one worker's shard of a run's counters. Each cell is written
 // only by the worker whose id indexes it (the serial elision publishes into
-// cell 0, once, at run end), so the hot-path updates are single-writer
-// load-then-stores — no LOCK'd read-modify-write, and, because cells of
-// different workers sit on different cache lines (the pad below), no shared
-// cacheline traffic either. That is the point of the sharding: before it,
-// every spawn and task of an observed run contended one runCounters struct
-// from all workers at once. Readers (snapshot, the quiescence checker) sum
-// the counters and max the gauges across cells; the atomics make those
-// cross-thread reads well-defined.
+// cell 0, once, at run end), and because cells of different workers sit on
+// different cache lines (the pad below), there is no shared cacheline
+// traffic. The spawn-, task- and chunk-path counters (hotCells) and the
+// memory shard of an unbudgeted run are counted in the worker's plain
+// runMirror and stored here only when the worker publishes or switches
+// runs (stats.go); the steal-path counters are bumped in place. Readers
+// (snapshot, the quiescence checker) sum the counters and max the gauges
+// across cells; the atomics make those cross-thread reads well-defined.
 type runCell struct {
-	spawns        atomic.Int64
-	steals        atomic.Int64
-	tasksRun      atomic.Int64
-	tasksSkipped  atomic.Int64
-	liveFrames    atomic.Int64
-	maxLiveFrames atomic.Int64
-	maxDepth      atomic.Int64
-	loopSplits    atomic.Int64
-	chunksPeeled  atomic.Int64
-	rangeSteals   atomic.Int64
+	hotCells
+	steals      atomic.Int64
+	loopSplits  atomic.Int64
+	rangeSteals atomic.Int64
 	// memLive/memPeak are the run's live-byte accounting shard (see
 	// memory.go): frame bytes and Context.Charge declarations performed by
 	// this cell's worker. Refunds may land in a different cell than their
@@ -480,17 +477,6 @@ func newRunCounters(n int) *runCounters {
 		n = 1
 	}
 	return &runCounters{cells: make([]runCell, n)}
-}
-
-// liveFrameSum is the run's current live-frame count, summed across cells.
-// Exact only at quiescence — a task's +1 and −1 always land in the same
-// cell, so the sum settles to zero when the run drains.
-func (s *runCounters) liveFrameSum() int64 {
-	var n int64
-	for i := range s.cells {
-		n += s.cells[i].liveFrames.Load()
-	}
-	return n
 }
 
 // snapshot folds the per-run counters into a Stats, summing counts and
@@ -647,7 +633,7 @@ func resetFrame(f *frame) {
 	f.pieces = f.pieces[:0]
 	f.nextLoopSeq = 0
 	f.sealedViews, f.depositedViews = false, false
-	f.spawnSpan = 0
+	f.spawnSpan, f.spanInline = 0, 0
 	if f.spanChild.Load() != 0 {
 		f.spanChild.Store(0)
 	}
@@ -667,7 +653,7 @@ func resetFrame(f *frame) {
 		c.views = nil
 		c.ckey, c.cview = nil, nil
 	}
-	c.strandStart, c.spanLocal = 0, 0
+	c.spanLocal = 0
 }
 
 // newFrameShared allocates a frame on the shared (worker-less) path.

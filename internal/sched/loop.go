@@ -53,7 +53,7 @@ type loopState struct {
 	body func(c *Context, lo, hi int)
 	// spawnSpan is the loop frame's local span at the instant the loop was
 	// created (see obs.go). Stolen pieces deposit spawnSpan + their episode
-	// span into the loop frame's spanChild gauge, approximating the loop's
+	// span into the loop frame's child-span gauges, approximating the loop's
 	// span as its longest episode; zero on unobserved runs.
 	spawnSpan int64
 }
@@ -86,12 +86,13 @@ func (c *Context) LoopRange(lo, hi, grain int, body func(c *Context, lo, hi int)
 	if f.run.cancelled() {
 		return
 	}
-	if cl := f.run.clock; cl != nil {
+	ls := &loopState{frame: f, seq: f.nextLoopSeq, grain: grain, body: body}
+	if f.run.clock != nil {
 		// The loop is a spawn boundary for span purposes: close the segment
-		// so ls.spawnSpan below is the span at the loop's creation point.
-		c.charge(cl)
+		// so spawnSpan is the span at the loop's creation point.
+		c.charge()
+		ls.spawnSpan = c.spanLocal
 	}
-	ls := &loopState{frame: f, seq: f.nextLoopSeq, grain: grain, body: body, spawnSpan: c.spanLocal}
 	f.nextLoopSeq++
 	f.join.Add(1)
 	t := newRangeTask(ls, lo, hi)
@@ -172,8 +173,8 @@ func (w *worker) runChunk(ctx *Context, ls *loopState, lo, hi int) {
 	if w.hot.chunksPeeled&(publishEvery-1) == 0 {
 		w.publish()
 	}
-	if s := ls.frame.run.stats; s != nil {
-		bump(&s.cells[w.id].chunksPeeled)
+	if rs := ls.frame.run; rs.stats != nil {
+		w.acct(rs).c.chunksPeeled++
 	}
 	w.rec.ChunkRun(int32(hi-lo), ls.frame.run.id)
 	ls.body(ctx, lo, hi)
@@ -225,8 +226,8 @@ func (w *worker) runPiece(t *task) {
 	depth := lf.depth + 1
 	if rs.cancelled() {
 		w.hot.tasksSkipped++
-		if s := rs.stats; s != nil {
-			bump(&s.cells[w.id].tasksSkipped)
+		if rs.stats != nil {
+			w.acct(rs).c.tasksSkipped++
 		}
 		w.rec.TaskSkip(depth, rs.id)
 		w.publish()
@@ -245,13 +246,10 @@ func (w *worker) runPiece(t *task) {
 	lf.join.Add(1)
 	w.hot.tasksRun++
 	w.hot.frameStart(depth)
-	if s := rs.stats; s != nil {
-		cell := &s.cells[w.id]
-		bump(&cell.tasksRun)
-		cl := cell.liveFrames.Load() + 1
-		cell.liveFrames.Store(cl)
-		maxOwn(&cell.maxLiveFrames, cl)
-		maxOwn(&cell.maxDepth, int64(depth))
+	if rs.stats != nil {
+		m := w.acct(rs)
+		m.c.tasksRun++
+		m.c.frameStart(depth)
 	}
 	w.rec.TaskStart(depth, rs.id)
 
@@ -259,7 +257,7 @@ func (w *worker) runPiece(t *task) {
 	ctx := w.bindContext(pf)
 	cl := rs.clock
 	if cl != nil {
-		ctx.strandStart = w.rt.nanots()
+		w.resumeClock()
 	}
 	consumed, held := false, false
 	func() {
@@ -272,7 +270,8 @@ func (w *worker) runPiece(t *task) {
 				consumed = held
 				rs.poison(r)
 				w.rec.Panic(depth, rs.id)
-				ctx.syncWait() // drain body spawns even on panic
+				ctx.syncWait()  // drain body spawns even on panic
+				w.resumeClock() // the drain may have idled the worker
 			}
 		}()
 		consumed = w.peel(t, ctx, &held)
@@ -285,8 +284,8 @@ func (w *worker) runPiece(t *task) {
 		// approximated by its longest episode (the split-tree depth is not
 		// charged; DESIGN.md §4e). Ordered before the join decrements below,
 		// like every span deposit.
-		ctx.charge(cl)
-		maxStore(&lf.spanChild, ls.spawnSpan+ctx.spanLocal)
+		ctx.charge()
+		lf.depositChildSpan(w, ls.spawnSpan+ctx.spanLocal)
 	}
 	// Deposit before signalling the join counter: the loop's sync must not
 	// fold until every episode's views are visible.
@@ -298,8 +297,8 @@ func (w *worker) runPiece(t *task) {
 	// path for the same ordering).
 	w.recycleFrame(pf)
 	w.hot.liveFrames--
-	if s := rs.stats; s != nil {
-		bumpN(&s.cells[w.id].liveFrames, -1)
+	if rs.stats != nil {
+		w.acct(rs).c.liveFrames--
 	}
 	// A piece's units are released through the shared word wherever it ran,
 	// so its counts are published first, like any off-strand join's.

@@ -6,10 +6,12 @@ package sched
 // memory is the sum of its live activation frames (charged at allocation on
 // the spawning strand, refunded when the frame retires) plus whatever the
 // program itself declares through Context.Charge/Refund. The accounting
-// rides in the same per-worker runCell shards as the PR 9 counters — a
-// single-writer load/store per charge on a cache line the worker already
-// owns — so a run submitted without stats or a budget pays only a nil check
-// per site, and an accounted run pays no cross-worker traffic.
+// rides in the same per-worker runCell shards as the per-run counters —
+// counted in the worker's plain run mirror and published with it, or, on a
+// budgeted run, a single-writer load/store per charge on a cache line the
+// worker already owns — so a run submitted without stats or a budget pays
+// only a nil check per site, and an accounted run pays no cross-worker
+// traffic.
 //
 // Enforcement is cooperative, at exactly the cancellation layer's
 // boundaries (spawn, task start, chunk peel): a run whose live bytes exceed
@@ -46,25 +48,40 @@ const frameMemBytes = int64(unsafe.Sizeof(frame{}))
 // frames are charged like running ones: a spawn bomb's memory is in its
 // queued frames, which is exactly what a budget must see.
 func chargeFrameMem(rs *runState, w *worker, delta int64) {
-	s := rs.stats
-	if s == nil {
+	if rs.stats == nil {
 		return
 	}
 	if w == nil {
 		rs.sharedMem.Add(delta)
 		return
 	}
-	cell := &s.cells[w.id]
-	n := cell.memLive.Load() + delta
-	cell.memLive.Store(n)
-	if delta > 0 {
-		maxOwn(&cell.memPeak, n)
+	w.chargeMem(rs, delta)
+}
+
+// chargeMem records delta live bytes in w's cell of rs, which carries
+// stats. A budgeted run writes through, because checkBudgetSlow sums the
+// live cells at every boundary; any other run counts in the worker's run
+// mirror, published with it (stats.go).
+func (w *worker) chargeMem(rs *runState, delta int64) {
+	if rs.memBudget > 0 {
+		cell := &rs.stats.cells[w.id]
+		n := cell.memLive.Load() + delta
+		cell.memLive.Store(n)
+		if delta > 0 {
+			maxOwn(&cell.memPeak, n)
+		}
+		return
+	}
+	m := w.acct(rs)
+	m.memLive += delta
+	if m.memLive > m.memPeak {
+		m.memPeak = m.memLive
 	}
 }
 
 // memLiveBytes is the run's current live memory: the cross-cell sum plus the
-// shared (worker-less) counter. Like liveFrameSum, a single frame's charge
-// and refund may land in different cells, so individual cells can be
+// shared (worker-less) counter. A single frame's charge and refund may land
+// in different cells, so individual cells can be
 // negative; the sum is exact.
 func (rs *runState) memLiveBytes() int64 {
 	n := rs.sharedMem.Load()
@@ -138,13 +155,8 @@ func (c *Context) Charge(bytes int64) {
 	rs := c.frame.run
 	if w := c.w; w != nil {
 		bumpN(&w.ws.memLive, bytes)
-		if s := rs.stats; s != nil {
-			cell := &s.cells[w.id]
-			n := cell.memLive.Load() + bytes
-			cell.memLive.Store(n)
-			if bytes > 0 {
-				maxOwn(&cell.memPeak, n)
-			}
+		if rs.stats != nil {
+			w.chargeMem(rs, bytes)
 		}
 	} else {
 		rs.sharedMem.Add(bytes)

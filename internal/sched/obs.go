@@ -11,21 +11,37 @@ package sched
 //
 //   - Work is the sum of all strand-segment durations. Every worker charges
 //     the segment it just executed — the code between two parallel-control
-//     events — into the run's atomic work accumulator.
+//     events — into a plain per-worker accumulator for the run (runMirror,
+//     stats.go), flushed into the run's clock with one atomic add when the
+//     worker publishes or switches runs.
 //
 //   - Span is computed structurally. Each frame tracks its local span (the
 //     running span along its own strand, in Context.spanLocal) and the max
-//     completed-child span deposited by its children (frame.spanChild). At
-//     Spawn the child records the parent's local span as its spawnSpan; at
-//     child completion the child deposits spawnSpan + its own total into
-//     the parent's spanChild gauge; at Sync the parent folds
-//     spanLocal = max(spanLocal, spanChild) — exactly the dag recurrence
+//     completed-child span deposited by its children (frame.spanInline for
+//     children that joined on the frame's own strand, frame.spanChild for
+//     the rest). At Spawn the child records the parent's local span as its
+//     spawnSpan; at child completion the child deposits spawnSpan + its own
+//     total into the parent; at Sync the parent folds
+//     spanLocal = max(spanLocal, child spans) — exactly the dag recurrence
 //     span(parent) = max(serial path, spawn point + span(child)).
 //
 //   - Lazy-loop pieces (loop.go) deposit their episode duration against the
 //     loop frame keyed at the loop's spawn point, approximating the loop's
 //     span as the longest piece episode; the O(log n) split-tree depth is
 //     not charged. DESIGN.md §4e quantifies the approximation.
+//
+// The clock is read only where user code stops: at a Spawn (and a loop's
+// creation), at a Sync that has something to join, and at the end of a task
+// or loop episode. Where user code resumes — a task's or episode's start,
+// the continuation after a Sync's wait — the worker reuses its last read
+// (worker.clk): only runtime code ran since. A steal sweep — which every
+// sleep, yield and park of a worker follows — invalidates that read, and so
+// does a root's finish (the observer's RunEnd is user code), so the next
+// resume reads afresh and idle time is never charged. A Sync
+// whose region spawned nothing and started no loop is no boundary at all:
+// the open segment simply continues. An un-stolen observed spawn+sync thus
+// costs three clock reads (spawn, child end, parent sync) and no shared
+// write.
 //
 // Time spent *waiting* at a sync (syncWait steals and runs other tasks) is
 // excluded from both clocks, mirroring the dag model where a sync edge has
@@ -75,11 +91,12 @@ type RunObserver interface {
 }
 
 // WithRunObserver installs a run observer and arms the online work/span
-// clocks: every Run is timed (strand clocks at spawn/sync/steal boundaries)
-// and reported to o at start and end, and the runtime's live latency
-// histograms (steal latency, park-to-wake) begin recording. The observed
-// overhead is two monotonic clock reads per spawn and per sync; a runtime
-// without an observer pays one nil check per boundary.
+// clocks: every Run is timed (strand clocks at spawn/sync boundaries) and
+// reported to o at start and end, and the runtime's live latency histograms
+// (steal latency, park-to-wake) begin recording. The observed overhead is
+// three monotonic clock reads per spawn+sync pair (the spawn, the child's
+// end, the sync) plus plain per-worker accumulation; a runtime without an
+// observer pays one nil check per boundary.
 func WithRunObserver(o RunObserver) Option {
 	return func(c *config) { c.observer = o }
 }
@@ -87,11 +104,11 @@ func WithRunObserver(o RunObserver) Option {
 // RunObserver returns the observer installed by WithRunObserver, or nil.
 func (rt *Runtime) RunObserver() RunObserver { return rt.cfg.observer }
 
-// runClock is one run's online work/span accounting. Work accumulates
-// concurrently from every worker that executes the run's strands; span is
-// written once, by the worker that completes the root frame, strictly
-// before the run's done channel closes (which is what publishes it to the
-// Run caller).
+// runClock is one run's online work/span accounting. Work accumulates from
+// every worker that executes the run's strands, one flush of the worker's
+// runMirror at a time; span is written once, by the worker that completes
+// the root frame, strictly before the run's done channel closes (which is
+// what publishes it to the Run caller).
 type runClock struct {
 	work atomic.Int64
 	span atomic.Int64
@@ -135,42 +152,83 @@ func (rt *Runtime) LatencyHistograms() map[string]trace.Histogram {
 // monotonic clock.
 func (rt *Runtime) nanots() int64 { return int64(time.Since(rt.obsEpoch)) }
 
-// charge closes the strand segment open since c.strandStart: its duration
-// joins the run's work and the frame's local span, and a new segment opens.
-// Called at every parallel-control boundary of an observed run (Spawn,
-// Sync entry, task completion); callers gate on cl != nil.
-func (c *Context) charge(cl *runClock) {
-	now := c.rt.nanots()
-	if d := now - c.strandStart; d > 0 {
-		c.spanLocal += d
-		cl.work.Add(d)
+// resumeClock opens a strand segment where user code resumes: at the
+// worker's last clock read, since only runtime code ran after it, or at a
+// fresh read when that one was invalidated (clk == 0) because the worker
+// may have idled since.
+func (w *worker) resumeClock() {
+	if w.clk == 0 {
+		w.clk = w.rt.nanots()
 	}
-	c.strandStart = now
 }
 
-// foldSpanChildren folds the frame's completed-child span gauge into the
-// strand's local span at a sync boundary, and resets the gauge for the next
-// sync region. Must run only after the join counter reached zero.
-func (c *Context) foldSpanChildren() {
+// charge closes the strand segment open since the worker's last clock
+// read: its duration joins the run's work (in the worker's run mirror) and
+// the frame's local span, and the read opens the next segment. Called
+// where user code stops on an observed run (Spawn, a Sync with something
+// to join, task and episode completion); callers gate on the run's clock
+// being armed. While a strand runs, nothing else on its worker reads the
+// clock except that strand's own boundaries and, inside its syncs, tasks
+// that end with a read of their own — so the worker's last read is always
+// the open segment's start, and a Context needs no clock of its own.
+func (c *Context) charge() {
+	w := c.w
+	now := w.rt.nanots()
+	if d := now - w.clk; d > 0 {
+		c.spanLocal += d
+		w.acct(c.frame.run).work += d
+	}
+	w.clk = now
+}
+
+// resumeSync reopens the strand after a sync's wait and folds the frame's
+// completed-child span gauges into the strand's local span, resetting them
+// for the next sync region. Must run only after the join counter reached
+// zero. The continuation resumes from the worker's last read: the last task
+// the wait ran ended on it, or the wait idled and invalidated it. The
+// shared gauge is stored to only when an off-strand child raised it.
+func (c *Context) resumeSync() {
+	c.w.resumeClock()
 	f := c.frame
-	if sc := f.spanChild.Load(); sc > c.spanLocal {
+	sc := f.spanInline
+	f.spanInline = 0
+	if x := f.spanChild.Load(); x != 0 {
+		if x > sc {
+			sc = x
+		}
+		f.spanChild.Store(0)
+	}
+	if sc > c.spanLocal {
 		c.spanLocal = sc
 	}
-	f.spanChild.Store(0)
 }
 
 // depositSpan publishes this frame's completed span to its parent (or, for
 // the root, to the run's clock): the frame's spawn-point span plus
-// everything accumulated along and under it. The parent gauge keeps the
-// CAS-loop maxStore — unlike the sharded stats cells (single-writer
-// load+store, see stats.go), spanChild genuinely has concurrent writers:
-// siblings completing on different workers deposit into the same parent.
+// everything accumulated along and under it.
 func (c *Context) depositSpan(cl *runClock) {
 	f := c.frame
 	total := f.spawnSpan + c.spanLocal
 	if p := f.parent; p != nil {
-		maxStore(&p.spanChild, total)
+		p.depositChildSpan(c.w, total)
 	} else {
 		cl.span.Store(total)
 	}
+}
+
+// depositChildSpan raises f's completed-child span to total on behalf of a
+// child or loop episode that completed on worker w. A child completing on
+// f's own strand (f.ctx.w == w, joinChild's test: same worker, same
+// goroutine, read by f's Sync in program order) takes the plain max. Any
+// other keeps the CAS-loop maxStore — unlike the sharded stats cells,
+// spanChild genuinely has concurrent writers: siblings completing on
+// different workers deposit into the same parent.
+func (f *frame) depositChildSpan(w *worker, total int64) {
+	if f.ctx.w == w {
+		if total > f.spanInline {
+			f.spanInline = total
+		}
+		return
+	}
+	maxStore(&f.spanChild, total)
 }

@@ -3,8 +3,11 @@ package sched
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"cilkgo/internal/schedsan"
 )
 
 // captureObserver is a minimal RunObserver collecting reports for tests.
@@ -284,5 +287,79 @@ func TestObsLatencyHistograms(t *testing.T) {
 	// runs; the histogram must have recorded those wakeups.
 	if h["park_to_wake"].N == 0 {
 		t.Error("park_to_wake histogram recorded nothing")
+	}
+}
+
+// TestObsWorkPerRun checks that work is attributed to the run whose strands
+// did it. Three observed runs share two workers under a random fault plan,
+// so workers waiting in one run's sync steal and run another run's tasks.
+// Each run's leaves spin a known duration, different per run, and time
+// their own spins (a preempted spin overruns its nominal duration): a run's
+// Work must cover its own measured spins and stay below them plus half the
+// shortest other leaf — absorbing another run's leaf, or losing one of its
+// own, fails. The counts must be exact and the quiescence check must find
+// no live frame. Only the timing bounds get three attempts, against a
+// starved host.
+func TestObsWorkPerRun(t *testing.T) {
+	type shape struct {
+		leaves int
+		spin   time.Duration
+	}
+	shapes := []shape{{6, 2 * time.Millisecond}, {4, 3 * time.Millisecond}, {3, 4 * time.Millisecond}}
+	var leaf func(c *Context, n int, spin time.Duration, spent *atomic.Int64)
+	leaf = func(c *Context, n int, spin time.Duration, spent *atomic.Int64) {
+		if n == 1 {
+			t0 := time.Now()
+			spinFor(spin)
+			spent.Add(int64(time.Since(t0)))
+			return
+		}
+		c.Spawn(func(c *Context) { leaf(c, n/2, spin, spent) })
+		leaf(c, n-n/2, spin, spent)
+		c.Sync()
+	}
+	for attempt := 1; ; attempt++ {
+		so, log := sanOpts(schedsan.RandomPlan(int64(70 + attempt)))
+		o := &captureObserver{}
+		rt := New(WithWorkers(2), WithRunObserver(o), WithSanitize(so))
+		tks := make([]*Ticket, len(shapes))
+		spent := make([]atomic.Int64, len(shapes))
+		for i, sh := range shapes {
+			tks[i] = mustSubmit(t, rt, func(c *Context) { leaf(c, sh.leaves, sh.spin, &spent[i]) })
+		}
+		timingOK := true
+		for i, tk := range tks {
+			if err := tk.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			st, sh := tk.Stats(), shapes[i]
+			floor := time.Duration(spent[i].Load())
+			t.Logf("attempt %d run %d: work=%v (spins %v) span=%v spawns=%d run=%d steals=%d",
+				attempt, i, st.Work, floor, st.Span, st.Spawns, st.TasksRun, st.Steals)
+			if want := int64(sh.leaves - 1); st.Spawns != want || st.TasksRun != want {
+				t.Errorf("run %d: spawns=%d tasksRun=%d, want %d each", i, st.Spawns, st.TasksRun, want)
+			}
+			if st.Span > st.Work {
+				t.Errorf("run %d: Span %v > Work %v", i, st.Span, st.Work)
+			}
+			other := time.Duration(1 << 62)
+			for j, o := range shapes {
+				if j != i && o.spin < other {
+					other = o.spin
+				}
+			}
+			if st.Work < floor || st.Work >= floor+other/2 {
+				timingOK = false
+				t.Logf("run %d: Work %v outside [%v, %v)", i, st.Work, floor, floor+other/2)
+			}
+		}
+		rt.Shutdown()
+		log.empty(t)
+		if timingOK || t.Failed() {
+			return
+		}
+		if attempt == 3 {
+			t.Fatal("Work outside its run's spin bounds on every attempt")
+		}
 	}
 }

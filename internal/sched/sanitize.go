@@ -213,9 +213,10 @@ func (w *worker) recycleFrame(f *frame) {
 }
 
 // sanRunQuiescence checks that a completed run actually quiesced: its live
-// frames drain to zero and every spawned task was either run or skipped.
-// Frames decrement their live counter strictly after the run's finish
-// signal, so the check polls briefly rather than asserting instantly.
+// frames are zero and every spawned task was either run or skipped. Every
+// frame retires, and every worker publishes its run mirror, before the join
+// that releases its parent (or the root's finish), so the counts are exact
+// once the run's done channel has closed.
 func (rt *Runtime) sanRunQuiescence(rs *runState) {
 	if !rt.sanChecks() {
 		return
@@ -224,20 +225,17 @@ func (rt *Runtime) sanRunQuiescence(rs *runState) {
 	if s == nil {
 		return
 	}
-	deadline := time.Now().Add(200 * time.Millisecond)
-	for s.liveFrameSum() != 0 {
-		if !time.Now().Before(deadline) {
-			rt.sanViolation("run %d: %d frames still live after completion", rs.id, s.liveFrameSum())
-			return
-		}
-		time.Sleep(20 * time.Microsecond)
-	}
-	var spawns, run, skipped int64
+	var live, spawns, run, skipped int64
 	for i := range s.cells {
 		c := &s.cells[i]
+		live += c.liveFrames.Load()
 		spawns += c.spawns.Load()
 		run += c.tasksRun.Load()
 		skipped += c.tasksSkipped.Load()
+	}
+	// A frame's +1 and −1 land in the same cell, so the sum is exact here.
+	if live != 0 {
+		rt.sanViolation("run %d: %d frames still live after completion", rs.id, live)
 	}
 	// Loop pieces inflate tasksRun beyond spawns, so only the one-sided
 	// bound holds in general: every spawned task must have run or been

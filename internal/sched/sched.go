@@ -31,6 +31,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"cilkgo/internal/deque"
 	"cilkgo/internal/schedsan"
@@ -193,14 +194,15 @@ func New(opts ...Option) *Runtime {
 	}
 	rt.workers = make([]*worker, cfg.workers)
 	for i := range rt.workers {
-		rt.workers[i] = &worker{
+		slot := &workerSlot{worker: worker{
 			rt:         rt,
 			id:         i,
 			deque:      deque.New[task](),
 			rng:        rand.New(rand.NewSource(cfg.stealSeed + int64(i)*0x9e3779b9)),
 			lastVictim: -1,
 			frameFree:  make([]*frame, 0, frameLocalCap),
-		}
+		}}
+		rt.workers[i] = &slot.worker
 		if rt.tracer != nil {
 			rt.workers[i].rec = rt.tracer.Recorder(i)
 		}
@@ -262,11 +264,12 @@ func (rt *Runtime) runSerial(fn func(*Context), rs *runState) (err error) {
 		// live-frame watermark is the root frame itself, so a spawn-free
 		// run still reports 1.
 		defer func() {
-			c0 := &s.cells[0]
-			c0.spawns.Store(rs.serialSpawns)
-			c0.tasksRun.Store(rs.serialSpawns)
-			c0.maxDepth.Store(rs.serialMaxDepth)
-			c0.maxLiveFrames.Store(rs.serialMaxDepth + 1)
+			s.cells[0].hotCells.store(&hotStats{
+				spawns:        rs.serialSpawns,
+				tasksRun:      rs.serialSpawns,
+				maxDepth:      rs.serialMaxDepth,
+				maxLiveFrames: rs.serialMaxDepth + 1,
+			})
 		}()
 	}
 	if h := rt.cfg.hooks; h != nil {
@@ -334,9 +337,9 @@ func (e *PanicError) Error() string {
 type worker struct {
 	// id and deque are what other workers read: thieves load a victim's id
 	// and deque on every probe. The fields up to hot are written rarely or
-	// never, and hot starts 64 bytes in; the worker's 320-byte size class
-	// keeps every worker 64-aligned, so a thief's probes never share a cache
-	// line with the owner's per-spawn stores to hot and frameFree.
+	// never, and hot starts 64 bytes in; workerSlot keeps every worker
+	// 64-aligned, so a thief's probes never share a cache line with the
+	// owner's per-spawn stores to hot, mr and frameFree.
 	rt    *Runtime
 	id    int
 	deque *deque.Deque[task]
@@ -359,6 +362,11 @@ type worker struct {
 	// hot holds the spawn-path counters, private to the worker's goroutine;
 	// ws holds what other goroutines may read (see publish in stats.go).
 	hot hotStats
+	// mr mirrors the worker's cell of the run it is accounting for, and clk
+	// is its last clock read on an observed run, 0 once the worker may
+	// have idled since (obs.go). Both are private to the worker's goroutine.
+	mr  runMirror
+	clk int64
 	ws  workerStats
 	// hunting is true while the worker is between running out of work and
 	// finding the next task, bracketing the trace's idle slices. Only the
@@ -374,6 +382,15 @@ type worker struct {
 	// batches to and from the global backstop without allocating.
 	frameFree []*frame
 	slabCache *frameSlab
+}
+
+// workerSlot rounds a worker up to whole 64-byte cache lines. Go's
+// allocator rounds such a size up to a size class that is again a multiple
+// of 64, and its spans start page-aligned, so every separately allocated
+// slot starts on a cache-line boundary.
+type workerSlot struct {
+	worker
+	_ [(64 - unsafe.Sizeof(worker{})%64) % 64]byte
 }
 
 // Hunt phases, measured in consecutive failed sweeps. A worker that runs out
@@ -489,7 +506,10 @@ func (w *worker) stealOnce() *task {
 	rt := w.rt
 	// A worker that goes looking for work has run dry or is waiting on a
 	// stolen child: the steal boundary is where its counts get published.
+	// It may idle from here on — every sleep, yield and park follows a
+	// failed sweep — so its last clock read is no longer a resume point.
 	w.publish()
+	w.clk = 0
 	n := len(rt.workers)
 	if n <= 1 {
 		return nil
@@ -695,20 +715,17 @@ func (w *worker) runTask(t *task) {
 		w.hot.tasksRun++
 	}
 	w.hot.frameStart(f.depth)
+	if rs.stats != nil {
+		m := w.acct(rs)
+		if !root {
+			m.c.tasksRun++
+		}
+		m.c.frameStart(f.depth)
+	}
 	if root {
 		// A run may sit in its root for as long as it likes without spawning;
 		// the live-memory gauge admission consults must see its frame now.
 		w.publish()
-	}
-	if s := rs.stats; s != nil {
-		cell := &s.cells[w.id]
-		if !root {
-			bump(&cell.tasksRun)
-		}
-		cl := cell.liveFrames.Load() + 1
-		cell.liveFrames.Store(cl)
-		maxOwn(&cell.maxLiveFrames, cl)
-		maxOwn(&cell.maxDepth, int64(f.depth))
 	}
 	w.rec.TaskStart(f.depth, rs.id)
 
@@ -718,14 +735,15 @@ func (w *worker) runTask(t *task) {
 	ctx := w.bindContext(f)
 	cl := rs.clock
 	if cl != nil {
-		ctx.strandStart = w.rt.nanots()
+		w.resumeClock()
 	}
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
 				rs.poison(r)
 				w.rec.Panic(f.depth, rs.id)
-				ctx.syncWait() // drain children even on panic
+				ctx.syncWait()  // drain children even on panic
+				w.resumeClock() // the drain may have idled the worker
 			}
 		}()
 		fn(ctx)
@@ -738,7 +756,7 @@ func (w *worker) runTask(t *task) {
 		// so a parent folding after the join observes it; for the root, the
 		// store precedes rs.finish()'s done-channel close, which publishes
 		// the span to the Ticket's waiter.
-		ctx.charge(cl)
+		ctx.charge()
 		ctx.depositSpan(cl)
 	}
 
@@ -758,8 +776,8 @@ func (w *worker) runTask(t *task) {
 	// zero by the time Ticket.Wait returns.
 	w.recycleFrame(f)
 	w.hot.liveFrames--
-	if s := rs.stats; s != nil {
-		bumpN(&s.cells[w.id].liveFrames, -1)
+	if rs.stats != nil {
+		w.acct(rs).c.liveFrames--
 	}
 	if p != nil {
 		w.joinChild(p)
@@ -767,6 +785,7 @@ func (w *worker) runTask(t *task) {
 		finalizeViews(views)
 		w.publish()
 		rs.finish()
+		w.clk = 0 // RunEnd ran inside finish: no longer a resume point
 	}
 	w.rec.TaskEnd()
 }
@@ -812,8 +831,8 @@ func (w *worker) joinChild(p *frame) {
 func (w *worker) skipFrame(f *frame) {
 	rs := f.run
 	w.hot.tasksSkipped++
-	if s := rs.stats; s != nil {
-		bump(&s.cells[w.id].tasksSkipped)
+	if rs.stats != nil {
+		w.acct(rs).c.tasksSkipped++
 	}
 	w.rec.TaskSkip(f.depth, rs.id)
 	// Recycle before signalling the join (or finishing the root) so the
@@ -826,5 +845,6 @@ func (w *worker) skipFrame(f *frame) {
 	} else {
 		w.publish()
 		rs.finish()
+		w.clk = 0 // as on runTask's root path
 	}
 }

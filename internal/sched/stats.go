@@ -12,19 +12,13 @@ import (
 // are bumped in place; the spawn-path ones (the hotStats fields) are only
 // ever written by publish.
 type workerStats struct {
-	spawns             atomic.Int64
+	hotCells
 	steals             atomic.Int64
 	stealAttempts      atomic.Int64
 	stealBatches       atomic.Int64
 	tasksStolenBatched atomic.Int64
 	failedSweeps       atomic.Int64
-	tasksRun           atomic.Int64
-	tasksSkipped       atomic.Int64
-	liveFrames         atomic.Int64
-	maxLiveFrames      atomic.Int64
-	maxDepth           atomic.Int64
 	loopSplits         atomic.Int64
-	chunksPeeled       atomic.Int64
 	rangeSteals        atomic.Int64
 	poolRefills        atomic.Int64
 	poolSpills         atomic.Int64
@@ -41,10 +35,12 @@ type workerStats struct {
 }
 
 // hotStats are the counters a spawn, a task or a chunk touches: plain fields
-// only the owning worker reads or writes, mirrored into the workerStats
-// cells of the same names by publish. An atomic Store is an XCHG on amd64 —
-// as costly as a LOCK'd add — so counting in the published cells directly
-// made every one of these increments a locked instruction on the spawn path.
+// only the owning worker reads or writes, mirrored into the hotCells of the
+// same names by publish. An atomic Store is an XCHG on amd64 — as costly as
+// a LOCK'd add — so counting in the published cells directly made every one
+// of these increments a locked instruction on the spawn path. The worker
+// keeps two sets: its own (worker.hot, published into workerStats) and one
+// for the run it is currently accounting for (runMirror).
 type hotStats struct {
 	spawns        int64
 	tasksRun      int64
@@ -55,29 +51,127 @@ type hotStats struct {
 	maxDepth      int64
 }
 
+// hotCells are the published cells of the hotStats counters, embedded in
+// both workerStats and runCell. Only publish, the run mirror's flush and
+// the serial elision's run end store to them.
+type hotCells struct {
+	spawns        atomic.Int64
+	tasksRun      atomic.Int64
+	tasksSkipped  atomic.Int64
+	chunksPeeled  atomic.Int64
+	liveFrames    atomic.Int64
+	maxLiveFrames atomic.Int64
+	maxDepth      atomic.Int64
+}
+
+// store mirrors h into the cells. Cells already current are not stored to,
+// so a hunting worker's repeated publishes are loads only.
+func (c *hotCells) store(h *hotStats) {
+	publishTo(&c.spawns, h.spawns)
+	publishTo(&c.tasksRun, h.tasksRun)
+	publishTo(&c.tasksSkipped, h.tasksSkipped)
+	publishTo(&c.chunksPeeled, h.chunksPeeled)
+	publishTo(&c.liveFrames, h.liveFrames)
+	publishTo(&c.maxLiveFrames, h.maxLiveFrames)
+	publishTo(&c.maxDepth, h.maxDepth)
+}
+
+// load reads the cells back into a plain mirror.
+func (c *hotCells) load() hotStats {
+	return hotStats{
+		spawns:        c.spawns.Load(),
+		tasksRun:      c.tasksRun.Load(),
+		tasksSkipped:  c.tasksSkipped.Load(),
+		chunksPeeled:  c.chunksPeeled.Load(),
+		liveFrames:    c.liveFrames.Load(),
+		maxLiveFrames: c.maxLiveFrames.Load(),
+		maxDepth:      c.maxDepth.Load(),
+	}
+}
+
+// runMirror is the worker's plain copy of its own cell of the one run it is
+// currently accounting for, plus the work that run's strands have charged
+// on this worker since the last flush: hotStats' discipline applied to the
+// per-run accounting. Each runCell has one writer — this worker — so the
+// mirror can start from the cell's current values when the worker switches
+// runs. The mirror is flushed into the cell (and the work into the run's
+// clock) by publish and on a run switch, so the per-run counts and work are
+// exact by the time Ticket.Wait returns, by the same induction as publish's.
+type runMirror struct {
+	// rs is the run mirrored; nil before the worker's first accounted run.
+	// It stays set after that run ends, until the next switch: a worker
+	// keeps at most one finished runState alive.
+	rs *runState
+	c  hotStats
+	// memLive/memPeak mirror the cell's memory shard on unbudgeted runs only;
+	// a budgeted run writes through (see chargeMem in memory.go).
+	memLive int64
+	memPeak int64
+	// work is the observed run's strand time charged on this worker and not
+	// yet added to rs.clock.work.
+	work int64
+}
+
+// acct returns the worker's mirror of rs's cell, switching the mirror to rs
+// first if it holds another run. rs must carry stats, as every observed run
+// does.
+func (w *worker) acct(rs *runState) *runMirror {
+	if w.mr.rs != rs {
+		w.switchRun(rs)
+	}
+	return &w.mr
+}
+
+// switchRun flushes the mirror and reloads it from rs's cell. Every switch
+// the scheduler makes follows a publish — a task that ends off its
+// parent's strand, a root's finish, a steal sweep — so the flush finds
+// nothing pending; it keeps the accounting exact should a path ever switch
+// without one.
+func (w *worker) switchRun(rs *runState) {
+	w.flushRun() // leaves work at 0
+	cell := &rs.stats.cells[w.id]
+	m := &w.mr
+	m.rs = rs
+	m.c = cell.hotCells.load()
+	m.memLive, m.memPeak = cell.memLive.Load(), cell.memPeak.Load()
+}
+
+// flushRun publishes the mirror into its run's cell and adds the pending
+// work to the run's clock with a single atomic add.
+func (w *worker) flushRun() {
+	m := &w.mr
+	rs := m.rs
+	if rs == nil {
+		return
+	}
+	cell := &rs.stats.cells[w.id]
+	cell.hotCells.store(&m.c)
+	if rs.memBudget == 0 {
+		publishTo(&cell.memLive, m.memLive)
+		publishTo(&cell.memPeak, m.memPeak)
+	}
+	if m.work != 0 {
+		rs.clock.work.Add(m.work)
+		m.work = 0
+	}
+}
+
 // publishEvery bounds how stale the published counters of a worker that
 // neither steals nor joins off-strand can get: it publishes at every
 // publishEvery-th spawn and chunk.
 const publishEvery = 1024
 
-// publish mirrors the worker's hotStats into its workerStats cells. Called
-// by the worker itself wherever its work becomes visible to another
-// goroutine — before an off-strand join, before a root's finish, before a
-// steal sweep and before parking — and every publishEvery spawns or chunks.
-// So when Ticket.Wait returns the run's counts are exact: by induction over
-// the spawn tree, a task's counts are published either by its own off-strand
-// join or, if it joined on its parent's strand, by whatever publishes the
-// parent's. Cells already current are not stored to, so a hunting worker's
-// repeated publishes are loads only.
+// publish mirrors the worker's hotStats into its workerStats cells and
+// flushes its run mirror. Called by the worker itself wherever its work
+// becomes visible to another goroutine — before an off-strand join, before
+// a root's finish, before a steal sweep and before parking — and every
+// publishEvery spawns or chunks. So when Ticket.Wait returns the run's
+// counts and work are exact: by induction over the spawn tree, a task's
+// counts are published either by its own off-strand join or, if it joined
+// on its parent's strand, by whatever publishes the parent's.
 func (w *worker) publish() {
-	h, ws := &w.hot, &w.ws
-	publishTo(&ws.spawns, h.spawns)
-	publishTo(&ws.tasksRun, h.tasksRun)
-	publishTo(&ws.tasksSkipped, h.tasksSkipped)
-	publishTo(&ws.chunksPeeled, h.chunksPeeled)
-	publishTo(&ws.liveFrames, h.liveFrames)
-	publishTo(&ws.maxLiveFrames, h.maxLiveFrames)
-	publishTo(&ws.maxDepth, h.maxDepth)
+	w.ws.hotCells.store(&w.hot)
+	w.flushRun()
 }
 
 func publishTo(c *atomic.Int64, v int64) {
@@ -102,8 +196,7 @@ func (h *hotStats) frameStart(depth int32) {
 // workerStats/runCell field has exactly one writing goroutine (the owning
 // worker, or the serial strand); readers still get tear-free values through
 // the atomics. The store is still a locked instruction (XCHG), so bump is
-// for the steal path and the armed per-run cells; the spawn path counts in
-// hotStats.
+// for the steal path; the spawn path counts in hotStats.
 func bump(c *atomic.Int64) {
 	c.Store(c.Load() + 1)
 }

@@ -7,7 +7,7 @@
 // allocations per spawn (what remains in the fib shape is the user-level
 // closure capture, which the API cannot elide). The exact allocation gates
 // are the testing.AllocsPerRun tests in alloc_test.go; `make prof-spawn`
-// profiles BenchmarkSpawnFib.
+// profiles BenchmarkSpawnFib and `make prof-obs` its observed twin.
 package cilkgo_test
 
 import (
@@ -38,6 +38,29 @@ func reportSpawnMetrics(b *testing.B, rt *cilkgo.Runtime, before cilkgo.Stats) {
 // none.
 func BenchmarkSpawnFib(b *testing.B) {
 	rt := cilkgo.New(cilkgo.WithWorkers(4))
+	defer rt.Shutdown()
+	want := workloads.SerialFib(22)
+	before := rt.Stats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var got int64
+		if err := mustSubmit(b, rt, func(c *cilkgo.Context) { got = workloads.Fib(c, 22) }).Wait(); err != nil {
+			b.Fatal(err)
+		}
+		if got != want {
+			b.Fatal("wrong fib")
+		}
+	}
+	b.StopTimer()
+	reportSpawnMetrics(b, rt, before)
+}
+
+// BenchmarkSpawnFibObserved is BenchmarkSpawnFib on a runtime built
+// WithObserver: the same spawn-dense shape with the online work/span clocks
+// and per-run accounting armed, so ns/op minus BenchmarkSpawnFib's is what
+// observation costs per run. `make prof-obs` profiles it.
+func BenchmarkSpawnFibObserved(b *testing.B) {
+	rt := cilkgo.New(cilkgo.WithWorkers(4), cilkgo.WithObserver(cilkgo.NewObserver(0)))
 	defer rt.Shutdown()
 	want := workloads.SerialFib(22)
 	before := rt.Stats()
