@@ -112,7 +112,7 @@ prof-obs:
 # schedules), and pfor's chunk-local fold and ForRange partition tests —
 # repeated under the race detector (mirrors the CI job).
 stress-deque:
-	$(GO) test -race -count=5 -run 'StealBatch|GrowRacesThieves|ClearsSlots|UnparkWakeup|HuntPhase|RangeExactlyOnce|Gate|San|Lane|Starved|QueuedByClass|QueueLatency' ./internal/deque/ ./internal/sched/
+	$(GO) test -race -count=5 -run 'StealBatch|GrowRacesThieves|ClearsSlots|UnparkWakeup|HuntPhase|RangeExactlyOnce|Gate|San|Lane|Starved|QueuedByClass|QueueLatency|Serial' ./internal/deque/ ./internal/sched/
 	$(GO) test -race -count=5 -run 'Reduce|ForRange' ./internal/pfor/
 	$(GO) test -race -count=5 -run 'TestAlloc' .
 

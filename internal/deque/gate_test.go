@@ -10,21 +10,27 @@ import (
 )
 
 // testGate is a deterministic Gate for exercising the forced-failure and
-// delayed-claim paths. Safe for concurrent thieves.
+// delayed-claim paths. Safe for concurrent thieves. A Fail opportunity
+// fails at random with its op's rate, and also when it is the failAt[op]-th
+// opportunity of that op the gate has seen (counted in reached).
 type testGate struct {
-	mu    sync.Mutex
-	rng   *rand.Rand
-	rates map[GateOp]float64
-	delay time.Duration // applied at GateBatchWindow
-	sched int           // extra Gosched calls at GateBatchWindow
-	fired map[GateOp]*atomic.Int64
+	mu      sync.Mutex
+	rng     *rand.Rand
+	rates   map[GateOp]float64
+	failAt  map[GateOp]int64
+	reached map[GateOp]int64
+	delay   time.Duration // applied at GateBatchWindow
+	sched   int           // extra Gosched calls at GateBatchWindow
+	fired   map[GateOp]*atomic.Int64
 }
 
 func newTestGate(seed int64) *testGate {
 	g := &testGate{
-		rng:   rand.New(rand.NewSource(seed)),
-		rates: map[GateOp]float64{},
-		fired: map[GateOp]*atomic.Int64{},
+		rng:     rand.New(rand.NewSource(seed)),
+		rates:   map[GateOp]float64{},
+		failAt:  map[GateOp]int64{},
+		reached: map[GateOp]int64{},
+		fired:   map[GateOp]*atomic.Int64{},
 	}
 	for _, op := range []GateOp{GateSteal, GateBatchClaim, GateBatchCAS, GateBatchWindow} {
 		g.fired[op] = &atomic.Int64{}
@@ -34,7 +40,8 @@ func newTestGate(seed int64) *testGate {
 
 func (g *testGate) Fail(op GateOp) bool {
 	g.mu.Lock()
-	hit := g.rng.Float64() < g.rates[op]
+	g.reached[op]++
+	hit := g.reached[op] == g.failAt[op] || g.rng.Float64() < g.rates[op]
 	g.mu.Unlock()
 	if hit {
 		g.fired[op].Add(1)
@@ -117,18 +124,17 @@ func TestGateStealBatchForcedClaimContention(t *testing.T) {
 // owner churning push/pop races many batch thieves whose claims randomly
 // fail at the claim, fail at the commit CAS after the claim was visible, or
 // hold the claim through an injected delay — and every item must still be
-// consumed exactly once.
+// consumed exactly once. A scripted phase first fails one claim and one
+// commit CAS by construction, so both fault kinds fire however the
+// concurrent phase is scheduled.
 func TestGateStealBatchExactlyOnce(t *testing.T) {
 	const (
-		thieves = 4
-		items   = 2_000
+		thieves  = 4
+		items    = 2_000
+		scripted = 64 // items of the scripted phase
 	)
 	d := New[int]()
 	g := newTestGate(3)
-	g.rates[GateSteal] = 0.2
-	g.rates[GateBatchClaim] = 0.3
-	g.rates[GateBatchCAS] = 0.3
-	g.sched = 4 // stretch every claim window by a few reschedules
 	d.SetGate(g)
 
 	vals := make([]int, items)
@@ -140,6 +146,34 @@ func TestGateStealBatchExactlyOnce(t *testing.T) {
 			consumed.Add(1)
 		}
 	}
+
+	// Scripted phase: one thief batch-steals a deque nobody else touches, so
+	// every StealBatch reaches the claim gate and every claimed batch the
+	// commit gate. The 2nd claim and the 3rd commit fail; the steals after
+	// them must still consume the items those batches gave back.
+	g.failAt[GateBatchClaim] = 2
+	g.failAt[GateBatchCAS] = 3
+	for i := 0; i < scripted; i++ {
+		vals[i] = i
+		d.PushBottom(&vals[i])
+	}
+	dst := New[int]()
+	for !d.Empty() {
+		first, _ := d.StealBatch(dst)
+		take(first)
+		for v := dst.PopBottom(); v != nil; v = dst.PopBottom() {
+			take(v)
+		}
+	}
+	if c, x := g.fired[GateBatchClaim].Load(), g.fired[GateBatchCAS].Load(); c != 1 || x != 1 {
+		t.Fatalf("scripted phase fired %d claim and %d cas faults, want 1 and 1", c, x)
+	}
+
+	// Concurrent phase: random faults under an owner racing the thieves.
+	g.rates[GateSteal] = 0.2
+	g.rates[GateBatchClaim] = 0.3
+	g.rates[GateBatchCAS] = 0.3
+	g.sched = 4 // stretch every claim window by a few reschedules
 
 	var wg sync.WaitGroup
 	done := make(chan struct{})
@@ -173,7 +207,7 @@ func TestGateStealBatchExactlyOnce(t *testing.T) {
 		}(th)
 	}
 
-	for i := 0; i < items; i++ {
+	for i := scripted; i < items; i++ {
 		vals[i] = i
 		d.PushBottom(&vals[i])
 		if i%7 == 0 {

@@ -316,12 +316,10 @@ func TestSerialElisionCancellation(t *testing.T) {
 		t.Fatalf("ran = %d, want 1 (second spawn elided)", ran)
 	}
 	rt.Shutdown()
-	tk, err = rt.Submit(context.Background(), func(*Context) {})
-	if err == nil {
-		err = tk.Wait()
-	}
-	if !errors.Is(err, ErrShutdown) {
-		t.Fatalf("serial run after Shutdown = %v, want ErrShutdown", err)
+	// A submission-time failure, like a parallel runtime's: no run, no
+	// ticket.
+	if tk, err := rt.Submit(context.Background(), func(*Context) {}); tk != nil || !errors.Is(err, ErrShutdown) {
+		t.Fatalf("serial Submit after Shutdown = (%v, %v), want (nil, ErrShutdown)", tk, err)
 	}
 }
 

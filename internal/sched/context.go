@@ -12,7 +12,7 @@ import (
 // Contexts. This mirrors the Cilk++ keywords: Spawn is cilk_spawn, Sync is
 // cilk_sync.
 type Context struct {
-	w     *worker // nil in serial-elision mode
+	w     *worker // the executing worker; a serial run's own strand worker
 	rt    *Runtime
 	frame *frame
 
@@ -41,14 +41,9 @@ type Context struct {
 // Runtime returns the runtime executing this computation.
 func (c *Context) Runtime() *Runtime { return c.rt }
 
-// WorkerID returns the index of the worker executing this strand, or 0 in
-// serial-elision mode.
-func (c *Context) WorkerID() int {
-	if c.w == nil {
-		return 0
-	}
-	return c.w.id
-}
+// WorkerID returns the index of the worker executing this strand; 0 in
+// serial-elision mode, where each run has one strand worker of its own.
+func (c *Context) WorkerID() int { return c.w.id }
 
 // Depth returns the spawn depth of this frame below the root.
 func (c *Context) Depth() int { return int(c.frame.depth) }
@@ -57,15 +52,15 @@ func (c *Context) Depth() int { return int(c.frame.depth) }
 // in parallel with the rest of this function, on this or any other worker.
 // Results produced by the child must not be consumed before the next Sync.
 //
-// In serial-elision mode Spawn simply calls fn, yielding exactly the serial
-// C++-elision execution order.
+// In serial-elision mode Spawn runs fn to completion before returning
+// (spawnInline), yielding exactly the serial C++-elision execution order.
 //
 // On a cancelled run Spawn is a no-op — the spawn boundary is a cancel
 // check site (one atomic load), so a cancelled computation stops growing
 // its spawn tree.
 func (c *Context) Spawn(fn func(*Context)) {
 	if c.rt.cfg.serial {
-		c.spawnSerial(fn)
+		c.spawnInline(fn)
 		return
 	}
 	f := c.frame
@@ -114,12 +109,19 @@ func (c *Context) Spawn(fn func(*Context)) {
 	}
 }
 
-// spawnSerial executes the child immediately as an ordinary call, firing
-// instrumentation hooks in depth-first serial order. The child shares the
-// parent's view map, which trivially yields the serial reduction order.
-func (c *Context) spawnSerial(fn func(*Context)) {
-	rs := c.frame.run
-	rs.checkBudget(nil)
+// spawnInline is the serial elision's Spawn: it runs fn as the spawned
+// child to completion before returning, on the spawning strand, and never
+// pushes. The child frame comes off the worker's freelist and is counted
+// exactly as runTask counts a task, the hooks fire in depth-first serial
+// order, and the child shares the parent's views as a Call does — which
+// trivially yields the serial reduction order. No clock is read: the
+// strand never leaves the spawning segment, so an observed serial run's
+// work and span are both its root's one segment.
+func (c *Context) spawnInline(fn func(*Context)) {
+	f := c.frame
+	rs := f.run
+	w := c.w
+	rs.checkBudget(w)
 	if rs.cancelled() {
 		return
 	}
@@ -127,20 +129,18 @@ func (c *Context) spawnSerial(fn func(*Context)) {
 	if h != nil {
 		h.Spawn()
 	}
-	child := newFrameShared(c.frame, rs, 0, c.frame.depth+1)
+	child := w.getFrame(f, rs, 0, f.depth+1)
+	w.hot.spawns++
+	w.hot.tasksRun++
+	w.hot.frameStart(child.depth)
 	if rs.stats != nil {
-		// Serial-elision accounting is tracked in plain per-run fields on
-		// the single strand — the old per-spawn maxStore CAS loops were pure
-		// overhead with one writer — and published into cell 0 once, at run
-		// end (runSerial). The serial elision's live frames are its call
-		// depth, so the depth watermark carries both gauges.
-		rs.serialSpawns++
-		if d := int64(child.depth); d > rs.serialMaxDepth {
-			rs.serialMaxDepth = d
-		}
+		m := w.acct(rs)
+		m.c.spawns++
+		m.c.tasksRun++
+		m.c.frameStart(child.depth)
 	}
-	cc := &child.ctx
-	cc.rt, cc.views = c.rt, c.views
+	cc := w.bindContext(child)
+	cc.views = c.views
 	if h != nil {
 		h.FrameStart()
 	}
@@ -151,7 +151,12 @@ func (c *Context) spawnSerial(fn func(*Context)) {
 	if h != nil {
 		h.FrameEnd()
 	}
-	freeFrameShared(child) // not freed on a panic path: the pool tolerates leaks
+	// Not freed on a panic path: the recycler tolerates leaks.
+	w.putFrame(child)
+	w.hot.liveFrames--
+	if rs.stats != nil {
+		w.acct(rs).c.liveFrames--
+	}
 }
 
 // Call executes fn synchronously in a fresh frame, like an ordinary (not
@@ -165,12 +170,7 @@ func (c *Context) Call(fn func(*Context)) {
 		h.CallStart()
 	}
 	w := c.w
-	var child *frame
-	if w != nil {
-		child = w.getFrame(c.frame, c.frame.run, 0, c.frame.depth+1)
-	} else {
-		child = newFrameShared(c.frame, c.frame.run, 0, c.frame.depth+1)
-	}
+	child := w.getFrame(c.frame, c.frame.run, 0, c.frame.depth+1)
 	// The callee borrows the child frame's embedded Context — a Call
 	// allocates nothing on a warm freelist.
 	//
@@ -190,11 +190,7 @@ func (c *Context) Call(fn func(*Context)) {
 		h.CallEnd()
 	}
 	// Not freed on a panic path: the recycler tolerates leaks.
-	if w != nil {
-		w.putFrame(child)
-	} else {
-		freeFrameShared(child)
-	}
+	w.putFrame(child)
 }
 
 // Sync waits until every child spawned by this function has completed — a
@@ -203,11 +199,8 @@ func (c *Context) Call(fn func(*Context)) {
 // is available. When the join completes, the frame's hyperobject views are
 // folded in serial order.
 func (c *Context) Sync() {
-	if c.rt.cfg.serial {
-		if h := c.rt.cfg.hooks; h != nil {
-			h.Sync()
-		}
-		return
+	if h := c.rt.cfg.hooks; h != nil {
+		h.Sync()
 	}
 	f := c.frame
 	// On an observed run a sync with something to join ends the strand
@@ -234,11 +227,9 @@ func (c *Context) Sync() {
 		// the join that follows it: program order for a child that ran on
 		// this strand, syncWait's load of the join word for any other.
 		if f.sealedViews || f.depositedViews {
-			if c.w != nil {
-				// Sanitizer: stretch the window between the last child
-				// deposit and the fold that consumes the deposits.
-				c.w.san.Delay(schedsan.PointViewFold)
-			}
+			// Sanitizer: stretch the window between the last child
+			// deposit and the fold that consumes the deposits.
+			c.w.san.Delay(schedsan.PointViewFold)
 			c.views = f.foldViews(c.views)
 			c.ckey, c.cview = nil, nil
 		}

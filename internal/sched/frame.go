@@ -115,8 +115,7 @@ type frame struct {
 	// call, and allocator trips are most of that constant). t.frame and
 	// ctx.frame are self-links, set once at allocation and preserved across
 	// pool lives. Range tasks are never embedded — the peel protocol needs
-	// their address to be independent of any frame (see task) — and the
-	// serial elision's root frame leaves both fields unused.
+	// their address to be independent of any frame (see task).
 	t   task
 	ctx Context
 }
@@ -384,26 +383,15 @@ type runState struct {
 
 	// Memory accounting and enforcement (see memory.go). memBudget is the
 	// run's WithMemoryBudget in bytes (0 = unenforced), fixed before the
-	// root is published. sharedMem holds charges made without a worker
-	// identity (Submit roots, serial elision); worker charges shard into the
-	// runCells. memPeak is the run's live-byte watermark, raised by every
-	// budget check (maxStore: any worker's boundary may raise it). memAdm is
-	// the amount admission actually charged — the declared estimate, or the
-	// tenant's EWMA when pressure distrusts declarations — and is what
-	// release refunds.
+	// root is published. The live bytes themselves shard into the runCells.
+	// memPeak is the run's live-byte watermark, raised by every budget check
+	// (maxStore: any worker's boundary may raise it). memAdm is the amount
+	// admission actually charged — the declared estimate, or the tenant's
+	// EWMA when pressure distrusts declarations — and is what release
+	// refunds.
 	memBudget int64
 	memAdm    int64
-	sharedMem atomic.Int64
 	memPeak   atomic.Int64
-
-	// Serial-elision accounting: the elision is one strand, so its counters
-	// are plain fields bumped by spawnSerial and published into stats cell 0
-	// once, when runSerial finishes — replacing the old per-spawn atomic
-	// adds and double maxStore CAS loops. Meaningful only on serial runtimes
-	// with stats armed; the elision's live frames are its call depth, so
-	// serialMaxDepth carries the MaxLiveFrames watermark too (depth+1).
-	serialSpawns   int64
-	serialMaxDepth int64
 }
 
 // queueLatency reports how long the root waited for pickup (0 until picked).
@@ -422,8 +410,7 @@ func (rs *runState) queueLatency() time.Duration {
 // release stops the run's context watcher and returns its admission
 // reservation, exactly once. Called worker-side from finish so that
 // fire-and-forget tickets still release their resources, and directly on
-// submission paths that never reach finish (serial elision, shut-down
-// runtime).
+// the one submission path that never reaches finish (a shut-down runtime).
 func (rs *runState) release() {
 	rs.releaseOnce.Do(func() {
 		if rs.stop != nil {
@@ -441,10 +428,9 @@ func (rs *runState) release() {
 }
 
 // runCell is one worker's shard of a run's counters. Each cell is written
-// only by the worker whose id indexes it (the serial elision publishes into
-// cell 0, once, at run end), and because cells of different workers sit on
-// different cache lines (the pad below), there is no shared cacheline
-// traffic. The spawn-, task- and chunk-path counters (hotCells) and the
+// only by the worker whose id indexes it (a serial run's strand worker has
+// id 0), and because cells of different workers sit on different cache
+// lines (the pad below), there is no shared cacheline traffic. The spawn-, task- and chunk-path counters (hotCells) and the
 // memory shard of an unbudgeted run are counted in the worker's plain
 // runMirror and stored here only when the worker publishes or switches
 // runs (stats.go); the steal-path counters are bumped in place. Readers
@@ -470,8 +456,8 @@ type runCounters struct {
 	cells []runCell
 }
 
-// newRunCounters sizes the shard array for a runtime with n workers (the
-// serial elision has none and gets the single cell its one strand needs).
+// newRunCounters sizes the shard array for a runtime with n workers (a
+// serial runtime has none and gets the single cell its run's strand needs).
 func newRunCounters(n int) *runCounters {
 	if n < 1 {
 		n = 1
@@ -560,9 +546,10 @@ func (rs *runState) finish() {
 // carving a fresh contiguous slab on a miss. Routing through a sync.Pool
 // keeps the old pool semantics — idle memory still returns to the GC under
 // pressure, and the refill path re-balances frames between producer-heavy
-// and consumer-heavy workers. Serial elision and Submit run on caller
-// goroutines with no worker identity, so they share a plain per-frame
-// sync.Pool path (framePool).
+// and consumer-heavy workers. Every frame but a root is taken from a
+// worker's freelist — a serial elision's strand worker included — and a
+// root, allocated by Submit, joins the freelist of the worker that
+// retires it.
 //
 // Recycling remains safe for the same reason the old global pools were
 // (PR 3's GC-safety work): every path that retires a frame owns it
@@ -593,9 +580,6 @@ var (
 	// box would allocate a fresh one: one allocation per frameBatchSize
 	// frame crossings, forever.
 	boxPool sync.Pool
-	// framePool is the shared, worker-less path: serial elision frames,
-	// Submit roots, and Call frames on serial runtimes.
-	framePool = sync.Pool{New: func() any { return initFrame(new(frame)) }}
 )
 
 // initFrame installs the self-links of a freshly allocated frame; they are
@@ -644,36 +628,15 @@ func resetFrame(f *frame) {
 	// the spawn-dense fast path every pointer field is already nil, and the
 	// guard turns six barriered pointer writes into one predicted branch.
 	// ctx.w and ctx.rt are deliberately left stale — every consumer rebinds
-	// them before use (bindContext, Call; the shared path nils them in
-	// freeFrameShared, which spawnSerial's w==nil contract relies on). A
-	// pooled frame thus pins its last worker, which lives as long as the
-	// runtime, and the slab pool is GC-cleared, so nothing truly leaks.
+	// them before use (bindContext, Call). A pooled frame thus pins its last
+	// worker, which lives as long as the runtime, and the slab pool is
+	// GC-cleared, so nothing truly leaks.
 	c := &f.ctx
 	if c.views != nil || c.ckey != nil {
 		c.views = nil
 		c.ckey, c.cview = nil, nil
 	}
 	c.spanLocal = 0
-}
-
-// newFrameShared allocates a frame on the shared (worker-less) path.
-func newFrameShared(parent *frame, rs *runState, ordinal, depth int32) *frame {
-	f := framePool.Get().(*frame)
-	f.parent, f.run = parent, rs
-	f.ordinal, f.depth = ordinal, depth
-	chargeFrameMem(rs, nil, frameMemBytes)
-	return f
-}
-
-// freeFrameShared retires a frame on the shared path. Unlike the worker
-// freelists, the shared pool nils ctx.w/ctx.rt: spawnSerial hands out the
-// embedded Context without rebinding w and relies on w == nil meaning
-// serial elision.
-func freeFrameShared(f *frame) {
-	chargeFrameMem(f.run, nil, -frameMemBytes) // before resetFrame drops f.run
-	resetFrame(f)
-	f.ctx.w, f.ctx.rt = nil, nil
-	framePool.Put(f)
 }
 
 // getFrame pops a frame off w's freelist — the spawn fast path: a length

@@ -1,7 +1,9 @@
 package sched
 
 // Hooks receives the parallel-control events of a serial-elision execution,
-// in depth-first serial order on a single goroutine. This is the event
+// in depth-first serial order on a single goroutine: the run's strand
+// worker, which fires them from the same Spawn, Call and Sync a parallel
+// run executes (Spawn running the child inline). This is the event
 // stream Cilkscreen consumes (§4): the SP-bags algorithm maintains
 // series-parallel relationships from exactly these events, and the Cilkview
 // profiler derives strand boundaries from them.

@@ -11,7 +11,8 @@ package sched
 // budgeted run, a single-writer load/store per charge on a cache line the
 // worker already owns — so a run submitted without stats or a budget pays
 // only a nil check per site, and an accounted run pays no cross-worker
-// traffic.
+// traffic. Every charge has a worker to land on: a serial elision runs on a
+// strand worker of its own (runSerial), so there is no worker-less path.
 //
 // Enforcement is cooperative, at exactly the cancellation layer's
 // boundaries (spawn, task start, chunk peel): a run whose live bytes exceed
@@ -42,17 +43,15 @@ var ErrMemoryBudget error = &cancelError{msg: "sched: computation exceeded its m
 const frameMemBytes = int64(unsafe.Sizeof(frame{}))
 
 // chargeFrameMem records one frame allocation (delta = +frameMemBytes) or
-// retirement (−frameMemBytes) against the run, in the acting worker's cell —
-// or in the run's shared counter when there is no worker (Submit roots,
-// serial elision). No-op unless the run carries counters. Queued-but-unrun
-// frames are charged like running ones: a spawn bomb's memory is in its
-// queued frames, which is exactly what a budget must see.
+// retirement (−frameMemBytes) against the run, in the acting worker's cell.
+// No-op unless the run carries counters. Queued-but-unrun frames are charged
+// like running ones: a spawn bomb's memory is in its queued frames, which is
+// exactly what a budget must see. A root frame is charged by whoever starts
+// executing it — the worker that picks it up (takeInjected), or a serial
+// run's strand — so a root skipped before pickup refunds what its picker
+// charged.
 func chargeFrameMem(rs *runState, w *worker, delta int64) {
 	if rs.stats == nil {
-		return
-	}
-	if w == nil {
-		rs.sharedMem.Add(delta)
 		return
 	}
 	w.chargeMem(rs, delta)
@@ -79,12 +78,11 @@ func (w *worker) chargeMem(rs *runState, delta int64) {
 	}
 }
 
-// memLiveBytes is the run's current live memory: the cross-cell sum plus the
-// shared (worker-less) counter. A single frame's charge and refund may land
-// in different cells, so individual cells can be
-// negative; the sum is exact.
+// memLiveBytes is the run's current live memory: the cross-cell sum. A
+// single frame's charge and refund may land in different cells, so
+// individual cells can be negative; the sum is exact.
 func (rs *runState) memLiveBytes() int64 {
-	n := rs.sharedMem.Load()
+	var n int64
 	if s := rs.stats; s != nil {
 		for i := range s.cells {
 			n += s.cells[i].memLive.Load()
@@ -128,13 +126,10 @@ func (rs *runState) checkBudgetSlow(w *worker) {
 	}
 	n := rs.memLiveBytes()
 	maxStore(&rs.memPeak, n)
-	fault := false
-	if w != nil {
-		// Sanitizer: a forced PointMemCharge failure trips the budget
-		// spuriously. Only budget-armed runs ever reach this point, so the
-		// fault exercises exactly the ErrMemoryBudget drain path.
-		fault = w.san.Fail(schedsan.PointMemCharge)
-	}
+	// Sanitizer: a forced PointMemCharge failure trips the budget
+	// spuriously. Only budget-armed runs ever reach this point, so the
+	// fault exercises exactly the ErrMemoryBudget drain path.
+	fault := w.san.Fail(schedsan.PointMemCharge)
 	if n > rs.memBudget || fault {
 		rs.cancelWith(ErrMemoryBudget)
 	}
@@ -152,17 +147,13 @@ func (c *Context) Charge(bytes int64) {
 	if bytes == 0 {
 		return
 	}
-	rs := c.frame.run
-	if w := c.w; w != nil {
-		bumpN(&w.ws.memLive, bytes)
-		if rs.stats != nil {
-			w.chargeMem(rs, bytes)
-		}
-	} else {
-		rs.sharedMem.Add(bytes)
+	rs, w := c.frame.run, c.w
+	bumpN(&w.ws.memLive, bytes)
+	if rs.stats != nil {
+		w.chargeMem(rs, bytes)
 	}
 	if bytes > 0 {
-		rs.checkBudget(c.w)
+		rs.checkBudget(w)
 	}
 }
 
@@ -177,7 +168,8 @@ func (c *Context) Refund(bytes int64) { c.Charge(-bytes) }
 // publishEvery spawns (a run's root frame and every Charge are visible at
 // once) — suitable for watermark decisions, not invariants; exact at
 // quiescence.
-// Always 0 on a serial-elision runtime (no workers).
+// Always 0 on a serial-elision runtime: its strand workers belong to their
+// runs, whose own gauges are in Ticket.Stats.
 func (rt *Runtime) MemLiveBytes() int64 {
 	var n int64
 	for _, w := range rt.workers {

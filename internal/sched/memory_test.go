@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -343,5 +344,66 @@ func TestMemLiveBytesGaugeSettles(t *testing.T) {
 	}
 	if got := rt.MemLiveBytes(); got != 0 {
 		t.Fatalf("gauge at quiescence = %d, want 0", got)
+	}
+}
+
+// TestRootFrameMemPeak: a run's root frame is charged to the run like any
+// other frame — by the worker that picks it up, or by a serial run's strand
+// — so a spawn-free run peaks at exactly one frame, budgeted or not.
+func TestRootFrameMemPeak(t *testing.T) {
+	modes := map[string]Option{"parallel": WithWorkers(1), "serial": WithSerialElision()}
+	runs := map[string]RunOption{"stats": WithStats(), "budget": WithMemoryBudget(1 << 20)}
+	for mode, opt := range modes {
+		for run, ropt := range runs {
+			t.Run(mode+"/"+run, func(t *testing.T) {
+				rt := New(opt)
+				defer rt.Shutdown()
+				tk := mustSubmit(t, rt, func(*Context) {}, ropt)
+				if err := tk.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				if st := tk.Stats(); st.MemPeakBytes != frameMemBytes || st.MemLiveBytes != 0 {
+					t.Fatalf("MemPeakBytes/MemLiveBytes = %d/%d, want %d/0 (one root frame)",
+						st.MemPeakBytes, st.MemLiveBytes, frameMemBytes)
+				}
+			})
+		}
+	}
+}
+
+// TestQueuedCancelRootMem: a root cancelled while still queued is skipped
+// at pickup, and its frame's refund matches the picker's charge — the run
+// settles with no live bytes and one skipped task.
+func TestQueuedCancelRootMem(t *testing.T) {
+	rt := New(WithWorkers(1))
+	defer rt.Shutdown()
+	started, release := make(chan struct{}), make(chan struct{})
+	blocker := mustSubmit(t, rt, func(*Context) {
+		close(started)
+		<-release
+	})
+	<-started // the only worker is busy: the next root stays queued
+	ctx, cancel := context.WithCancel(context.Background())
+	ran := false
+	tk, err := rt.Submit(ctx, func(*Context) { ran = true }, WithStats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	for !tk.rs.cancelled() { // the context's AfterFunc cancels asynchronously
+		runtime.Gosched()
+	}
+	close(release)
+	if err := blocker.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tk.Wait(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("queued-then-cancelled Wait = %v, want ErrCanceled", err)
+	}
+	if ran {
+		t.Fatal("cancelled root ran")
+	}
+	if st := tk.Stats(); st.MemLiveBytes != 0 || st.TasksSkipped != 1 {
+		t.Fatalf("MemLiveBytes/TasksSkipped = %d/%d, want 0/1", st.MemLiveBytes, st.TasksSkipped)
 	}
 }

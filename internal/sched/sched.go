@@ -17,10 +17,12 @@
 // continuation-stealing scheduler in internal/sim.
 //
 // The runtime also supports a serial-elision mode (§1: parallel code
-// "retains its serial semantics when run on one processor") in which Spawn
-// executes the child immediately as an ordinary call on the caller's
-// goroutine, firing instrumentation hooks in depth-first serial order. The
-// Cilkscreen race detector (internal/race) and the Cilkview profiler
+// "retains its serial semantics when run on one processor"). Each run then
+// executes on a worker of its own on the caller's goroutine, through the
+// same root, frame and accounting paths as a parallel run, except that Spawn
+// runs the child to completion before returning instead of pushing it,
+// firing instrumentation hooks in depth-first serial order. The Cilkscreen
+// race detector (internal/race) and the Cilkview profiler
 // (internal/cilkview) run programs in this mode.
 package sched
 
@@ -63,8 +65,10 @@ func WithWorkers(n int) Option {
 }
 
 // WithSerialElision makes the runtime execute the program as its serial
-// elision: spawns become ordinary calls on the caller's goroutine, in
-// depth-first serial order. Instrumentation hooks fire only in this mode.
+// elision: Submit runs the root on the caller's goroutine, on a worker
+// private to the run, and each spawned child runs to completion before its
+// Spawn returns, in depth-first serial order. Instrumentation hooks fire
+// only in this mode.
 func WithSerialElision() Option {
 	return func(c *config) { c.serial = true }
 }
@@ -137,6 +141,9 @@ type Runtime struct {
 	// one atomic load here and nothing else.
 	parked atomic.Int32
 
+	// strands pools the workers serial-elision runs execute on (runSerial).
+	strands sync.Pool
+
 	// Root-injection path (see inject.go and submit.go): one per-QoS-class
 	// queue drained by weighted deficit round-robin. injected counts its
 	// roots — the one-atomic-load fast path an idle worker checks before
@@ -155,7 +162,8 @@ type Runtime struct {
 }
 
 // New creates a runtime and starts its workers. In serial-elision mode no
-// worker goroutines are started; Submit executes on the caller's goroutine.
+// worker goroutines are started; Submit executes each run on the caller's
+// goroutine, on a strand worker of the run's own (runSerial).
 func New(opts ...Option) *Runtime {
 	cfg := config{
 		workers:     runtime.GOMAXPROCS(0),
@@ -184,6 +192,7 @@ func New(opts ...Option) *Runtime {
 	rt.cond = sync.NewCond(&rt.mu)
 	rt.adm = newAdmission(cfg.admission)
 	if cfg.serial {
+		rt.strands.New = func() any { return &worker{rt: rt, lastVictim: -1} }
 		return rt
 	}
 	if cfg.observer != nil {
@@ -233,53 +242,28 @@ func (rt *Runtime) Serial() bool { return rt.cfg.serial }
 // rt.Tracer().Stop() for the drained timelines.
 func (rt *Runtime) Tracer() *trace.Tracer { return rt.tracer }
 
-// runSerial executes fn's serial elision on the caller's goroutine.
-func (rt *Runtime) runSerial(fn func(*Context), rs *runState) (err error) {
-	rt.mu.Lock()
-	if rt.closed {
-		rt.mu.Unlock()
-		return ErrShutdown
-	}
-	rt.active[rs] = struct{}{}
-	rt.mu.Unlock()
-	defer func() {
-		rt.mu.Lock()
-		delete(rt.active, rs)
-		rt.mu.Unlock()
-	}()
-	root := &frame{run: rs}
-	ctx := &Context{rt: rt, frame: root}
-	defer func() {
-		if r := recover(); r != nil {
-			rs.poison(r)
-		}
-		if e := rs.err(); e != nil {
-			err = e
-		}
-	}()
-	if s := rs.stats; s != nil {
-		// Publish the strand-local counters spawnSerial tracked (see
-		// runState) into cell 0 exactly once, on every exit path — the
-		// deferred publish runs before submit's snapshot. The +1 on the
-		// live-frame watermark is the root frame itself, so a spawn-free
-		// run still reports 1.
-		defer func() {
-			s.cells[0].hotCells.store(&hotStats{
-				spawns:        rs.serialSpawns,
-				tasksRun:      rs.serialSpawns,
-				maxDepth:      rs.serialMaxDepth,
-				maxLiveFrames: rs.serialMaxDepth + 1,
-			})
-		}()
-	}
-	if h := rt.cfg.hooks; h != nil {
+// runSerial executes a serial-elision root on a strand worker of its own,
+// on the caller's goroutine, through the same runTask root path a worker
+// goroutine takes for an injected root; every Spawn below it runs inline
+// (spawnInline). The strand is the run's only worker, so it accounts in the
+// run's cell 0, and it has no deque and steals nothing: an inline spawn
+// leaves nothing to join. Strand workers are pooled per runtime, so their
+// frame freelists outlive one run, and concurrent serial runs each take
+// their own.
+func (rt *Runtime) runSerial(root *task) {
+	w := rt.strands.Get().(*worker)
+	// The strand picks the root up: it charges the frame, as takeInjected
+	// does, before runTask's cancel gate can skip (and refund) it.
+	chargeFrameMem(root.frame.run, w, frameMemBytes)
+	h := rt.cfg.hooks
+	if h != nil {
 		h.FrameStart()
-		defer h.FrameEnd()
 	}
-	fn(ctx)
-	ctx.Sync()
-	finalizeViews(ctx.views)
-	return nil
+	w.runTask(root)
+	if h != nil {
+		h.FrameEnd()
+	}
+	rt.strands.Put(w)
 }
 
 // finalizeViews delivers the computation's folded views to hyperobjects
@@ -483,7 +467,11 @@ func (w *worker) takeInjected() *task {
 		return nil
 	}
 	rt.injected.Add(-1)
-	rt.rootPicked(t.frame.run)
+	rs := t.frame.run
+	rt.rootPicked(rs)
+	// The picker charges the root frame, before runTask's cancel gate can
+	// skip it: a root skipped unrun refunds exactly what was charged here.
+	chargeFrameMem(rs, w, frameMemBytes)
 	w.rec.InjectPickup()
 	return t
 }

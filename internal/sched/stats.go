@@ -52,8 +52,8 @@ type hotStats struct {
 }
 
 // hotCells are the published cells of the hotStats counters, embedded in
-// both workerStats and runCell. Only publish, the run mirror's flush and
-// the serial elision's run end store to them.
+// both workerStats and runCell. Only publish and the run mirror's flush
+// store to them.
 type hotCells struct {
 	spawns        atomic.Int64
 	tasksRun      atomic.Int64
@@ -193,9 +193,9 @@ func (h *hotStats) frameStart(depth int32) {
 
 // bump adds 1 to a single-writer atomic counter with a load and a store
 // rather than a read-modify-write. Correct only because every
-// workerStats/runCell field has exactly one writing goroutine (the owning
-// worker, or the serial strand); readers still get tear-free values through
-// the atomics. The store is still a locked instruction (XCHG), so bump is
+// workerStats/runCell field has exactly one writing goroutine at a time (the
+// owning worker, a serial run's strand included); readers still get
+// tear-free values through the atomics. The store is still a locked instruction (XCHG), so bump is
 // for the steal path; the spawn path counts in hotStats.
 func bump(c *atomic.Int64) {
 	c.Store(c.Load() + 1)

@@ -175,8 +175,9 @@ func (tk *Ticket) Class() QoSClass { return tk.rs.qos }
 
 // QueueLatency returns how long the root waited in the injection queue
 // before a worker picked it up, or 0 while it is still queued (and always 0
-// in serial-elision mode, where there is no queue). It may be called at any
-// time, including while the run is in flight.
+// in serial-elision mode, where the submitting goroutine runs the root
+// without queueing it). It may be called at any time, including while the
+// run is in flight.
 func (tk *Ticket) QueueLatency() time.Duration { return tk.rs.queueLatency() }
 
 // settle freezes the ticket's terminal stats and error, once.
@@ -185,13 +186,6 @@ func (tk *Ticket) settle() {
 		tk.rt.sanRunQuiescence(tk.rs)
 		tk.stats = tk.rs.snapshot()
 		tk.err = tk.rs.err()
-	})
-}
-
-// settleWith prefills the terminal state (serial elision completes inline).
-func (tk *Ticket) settleWith(stats Stats, err error) {
-	tk.once.Do(func() {
-		tk.stats, tk.err = stats, err
 	})
 }
 
@@ -265,36 +259,11 @@ func (rt *Runtime) submit(ctx context.Context, fn func(*Context), sc submitCfg) 
 		ctx, budgetCancel = context.WithTimeout(ctx, sc.timeBudget)
 	}
 
-	if rt.cfg.serial {
-		stop := rs.watch(ctx)
-		err := rt.runSerial(fn, rs)
-		stop()
-		if budgetCancel != nil {
-			budgetCancel()
-		}
-		rs.release()
-		if cl := rs.clock; cl != nil {
-			// The serial elision is one strand: work and span are both its
-			// wall-clock duration (T1 = T∞ by definition).
-			d := int64(time.Since(rs.start))
-			cl.work.Store(d)
-			cl.span.Store(d)
-		}
-		snap := rs.snapshot()
-		if obs != nil {
-			obs.RunEnd(rt.report(rs, snap, err))
-		}
-		tk := &Ticket{rt: rt, rs: rs}
-		tk.settleWith(snap, err)
-		close(rs.done)
-		return tk, nil
-	}
-
-	// The root task rides inside its frame like any spawned child: one shared
-	// allocation (Submit is off the spawn fast path, so the per-worker
-	// freelists are not used here).
-	root := newFrameShared(nil, rs, 0, 0)
-	root.t.fn = fn
+	// The root task rides inside its frame like any spawned child. The frame
+	// is a fresh allocation, off the spawn fast path; the worker that
+	// retires it keeps it on its own freelist.
+	root := initFrame(new(frame))
+	root.run, root.t.fn = rs, fn
 	t := &root.t
 	rs.enqNs = rt.nanots()
 	// Install the context watcher (and fold in the time-budget cancel)
@@ -311,7 +280,6 @@ func (rt *Runtime) submit(ctx context.Context, fn func(*Context), sc submitCfg) 
 	if rt.closed {
 		rt.mu.Unlock()
 		rs.release()
-		freeFrameShared(root)
 		if obs != nil {
 			obs.RunEnd(rt.report(rs, Stats{}, ErrShutdown))
 		}
@@ -319,6 +287,13 @@ func (rt *Runtime) submit(ctx context.Context, fn func(*Context), sc submitCfg) 
 	}
 	rt.activeRoots++
 	rt.active[rs] = struct{}{}
+	if rt.cfg.serial {
+		// The serial elision has no queue: the caller's goroutine runs the
+		// root to completion, so the Ticket is done when Submit returns.
+		rt.mu.Unlock()
+		rt.runSerial(t)
+		return &Ticket{rt: rt, rs: rs}, nil
+	}
 	rt.inject.push(t, rs.qos, rs.prio)
 	rt.injected.Add(1)
 	if s := rt.san; s != nil && s.opts.BreakInjectWake {
@@ -534,8 +509,8 @@ func (a *admission) picked(rs *runState) {
 }
 
 // release returns a run's reservation, at finish (or when a submission dies
-// before pickup: serial elision, shut-down runtime). The refund is memAdm —
-// exactly what admit charged — and happens exactly once per run (release is
+// before pickup: a shut-down runtime). The refund is memAdm — exactly what
+// admit charged — and happens exactly once per run (release is
 // guarded by releaseOnce), so a root cancelled before pickup and a run that
 // ends in a quarantined panic both refund their memory exactly once. The
 // run's measured peak, when accounting was armed, feeds the tenant's EWMA.

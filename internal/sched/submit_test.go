@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -441,5 +442,63 @@ func TestSubmitConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestSerialElisionConcurrentSubmits: serial runs submitted concurrently to
+// one serial runtime stay independent — each executes on a strand worker of
+// its own — so every run's result and per-run counts are exact, every run
+// settles with no live bytes, and no goroutine outlives the runs even
+// without a Shutdown (race.Check and cilkview.Measure never call one).
+func TestSerialElisionConcurrentSubmits(t *testing.T) {
+	const (
+		submitters = 8
+		runs       = 20
+		n          = 12
+	)
+	before := runtime.NumGoroutine()
+	rt := New(WithSerialElision())
+	errs := make(chan error, submitters*runs)
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < runs; i++ {
+				var got int64
+				tk, err := rt.Submit(context.Background(), func(c *Context) { fib(c, n, &got) }, WithStats())
+				if err != nil {
+					errs <- err
+					continue
+				}
+				if err := tk.Wait(); err != nil {
+					errs <- err
+					continue
+				}
+				st := tk.Stats()
+				switch want := spawnCount(n); {
+				case got != fibSerial(n):
+					errs <- fmt.Errorf("fib(%d) = %d, want %d", n, got, fibSerial(n))
+				case st.Spawns != want || st.TasksRun != want || st.MaxDepth != n-1:
+					errs <- fmt.Errorf("Spawns/TasksRun/MaxDepth = %d/%d/%d, want %d/%d/%d",
+						st.Spawns, st.TasksRun, st.MaxDepth, want, want, n-1)
+				case st.MemLiveBytes != 0:
+					errs <- fmt.Errorf("MemLiveBytes = %d after Wait, want 0", st.MemLiveBytes)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	// The submitters have returned from wg.Done but may not have exited yet;
+	// give them until the deadline to go.
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before the runs, %d after (no Shutdown called)", before, after)
 	}
 }
