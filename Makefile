@@ -109,10 +109,12 @@ prof-obs:
 # while a worker picks the root up — one queue lock sits between every
 # submitter and every idle worker) — and the fault-injected Gate/San suites
 # (forced claim/CAS failures, stretched claim windows, seeded fault
-# schedules), and pfor's chunk-local fold and ForRange partition tests —
-# repeated under the race detector (mirrors the CI job).
+# schedules), the lazy-spawn tests (a flat spawn loop's space bound, a panic
+# quarantined at an inline child, an inline child's span merged at the sync),
+# and pfor's chunk-local fold and ForRange partition tests — repeated under
+# the race detector (mirrors the CI job).
 stress-deque:
-	$(GO) test -race -count=5 -run 'StealBatch|GrowRacesThieves|ClearsSlots|UnparkWakeup|HuntPhase|RangeExactlyOnce|Gate|San|Lane|Starved|QueuedByClass|QueueLatency|Serial' ./internal/deque/ ./internal/sched/
+	$(GO) test -race -count=5 -run 'StealBatch|GrowRacesThieves|ClearsSlots|UnparkWakeup|HuntPhase|RangeExactlyOnce|Gate|San|Lane|Starved|QueuedByClass|QueueLatency|Serial|FlatSpawnSpace|PanicInlineChild|ObsInlineSpawnSpan' ./internal/deque/ ./internal/sched/
 	$(GO) test -race -count=5 -run 'Reduce|ForRange' ./internal/pfor/
 	$(GO) test -race -count=5 -run 'TestAlloc' .
 

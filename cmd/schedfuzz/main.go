@@ -3,8 +3,12 @@
 // spawn-tree determinism, cancellation at-most-once, drain-never-strands,
 // memory-accounting non-negativity) under thousands of seeded fault
 // schedules — forced steal/claim failures, stretched race windows, dropped
-// and duplicated wakeups, leaked pool objects — with the runtime invariant
-// checker and stall watchdog armed, and on odd seeds a run observer too.
+// and duplicated wakeups, leaked pool objects, eager pushes past the lazy
+// spawn policy — with the runtime invariant checker and stall watchdog
+// armed, and on odd seeds a run observer too. Each trial counts the
+// children its spawns pushed; a trial whose plan forces pushes but whose
+// spawns pushed none fails, since its steal faults then had nothing to
+// perturb.
 //
 // Every trial is reproducible: the fault schedule is a pure function of its
 // seed. A failing trial is re-run under shrunken fault plans until no rule
@@ -81,13 +85,15 @@ func main() {
 
 	start := time.Now()
 	failures := 0
-	var faultsTotal int64
+	var faultsTotal, pushesTotal int64
 	for i, s := range seeds {
 		plan := schedsan.RandomPlan(s)
 		res := runTrial(plan, *stall, *timeout)
 		faultsTotal += res.faults
+		pushesTotal += res.pushes
 		if *verbose {
-			fmt.Printf("seed %d: %s (%d faults injected)\n", s, res.status(), res.faults)
+			fmt.Printf("seed %d: %s (%d faults injected, %d of %d spawns pushed)\n",
+				s, res.status(), res.faults, res.pushes, res.spawns)
 		}
 		if res.ok() {
 			continue
@@ -113,8 +119,9 @@ func main() {
 			break
 		}
 	}
-	fmt.Printf("schedfuzz: %d trials, %d failures, %d faults injected, %v\n",
-		len(seeds), failures, faultsTotal, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("schedfuzz: %d trials, %d failures, %d faults injected, %.0f pushes per trial, %v\n",
+		len(seeds), failures, faultsTotal, float64(pushesTotal)/float64(max(len(seeds), 1)),
+		time.Since(start).Round(time.Millisecond))
 	if failures > 0 {
 		os.Exit(1)
 	}
@@ -128,6 +135,9 @@ type trialResult struct {
 	mu       sync.Mutex
 	findings []string
 	faults   int64
+	// spawns and pushes are the runtime's Stats.Spawns and Stats.Pushed at
+	// the end of the trial.
+	spawns, pushes int64
 }
 
 func (r *trialResult) ok() bool {
@@ -203,7 +213,25 @@ func runTrial(plan schedsan.Plan, stallAfter, deadline time.Duration) *trialResu
 	if inj := rt.Sanitizer(); inj != nil {
 		res.addFaults(inj.TotalFired())
 	}
+	st := rt.Stats()
+	res.mu.Lock()
+	res.spawns, res.pushes = st.Spawns, st.Pushed
+	res.mu.Unlock()
+	if forcesPushes(plan) && st.Spawns > 0 && st.Pushed == 0 {
+		res.addf("push floor: %d spawns pushed nothing under a plan that forces pushes", st.Spawns)
+	}
 	return res
+}
+
+// forcesPushes reports whether plan has a PointPush rule, which makes lazy
+// spawns push children they would have run inline.
+func forcesPushes(plan schedsan.Plan) bool {
+	for _, r := range plan.Rules {
+		if r.Point == schedsan.PointPush {
+			return true
+		}
+	}
+	return false
 }
 
 // nopObserver is the trivial RunObserver odd-seed trials arm.

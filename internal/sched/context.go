@@ -48,30 +48,60 @@ func (c *Context) WorkerID() int { return c.w.id }
 // Depth returns the spawn depth of this frame below the root.
 func (c *Context) Depth() int { return int(c.frame.depth) }
 
-// Spawn submits fn as a spawned child of this frame: the child may execute
-// in parallel with the rest of this function, on this or any other worker.
-// Results produced by the child must not be consumed before the next Sync.
+// Spawn creates fn as a spawned child of this frame. The child may execute
+// in parallel with the rest of this function, on this or any other worker,
+// or Spawn may run it to completion before returning. Results produced by
+// the child must not be consumed before the next Sync.
 //
-// In serial-elision mode Spawn runs fn to completion before returning
-// (spawnInline), yielding exactly the serial C++-elision execution order.
+// Spawns are lazy (lazy task creation, Mohr, Kranz & Halstead 1991; the
+// "push when the local deque is empty" policy of lazy scheduling, Tzannes
+// et al. 2014): the child is pushed onto the worker's deque, where a thief
+// can take it, only when that deque is empty. Otherwise thieves already
+// have work to take here, and the child runs inline (spawnInline) — in
+// serial order, like a call, but still a spawn of the dag: a panic in it is
+// quarantined at the child, and on an observed run its span merges with the
+// continuation's at the next Sync. The serial elision takes the same inline
+// path for every child, yielding exactly the serial C++-elision execution
+// order.
 //
 // On a cancelled run Spawn is a no-op — the spawn boundary is a cancel
 // check site (one atomic load), so a cancelled computation stops growing
 // its spawn tree.
 func (c *Context) Spawn(fn func(*Context)) {
-	if c.rt.cfg.serial {
-		c.spawnInline(fn)
-		return
-	}
 	f := c.frame
-	f.run.checkBudget(c.w) // the spawn boundary is a budget check site too
-	if f.run.cancelled() {
+	rs := f.run
+	w := c.w
+	rs.checkBudget(w) // the spawn boundary is a budget check site too
+	if rs.cancelled() {
 		return
 	}
-	if f.run.clock != nil {
+	w.hot.spawns++
+	if w.hot.spawns&(publishEvery-1) == 0 {
+		w.publish()
+	}
+	if rs.stats != nil {
+		w.acct(rs).c.spawns++
+	}
+	w.rec.Spawn()
+	if w.deque == nil {
+		// The serial elision's strand worker has no deque: every child runs
+		// inline. The run is one strand, so no spawn in it is a clock
+		// boundary either — an observed serial run's Work and Span are both
+		// its root's one segment.
+		c.spawnInline(fn, nil)
+		return
+	}
+	cl := rs.clock
+	if cl != nil {
 		// Observed run: the spawn ends the current strand segment — charge
-		// it, so the child's spawnSpan below is the span at the spawn point.
+		// it, so the child's spawnSpan is the span at the spawn point.
 		c.charge()
+	}
+	// The lazy-spawn predicate. A schedsan PointPush fault pushes anyway,
+	// so fault plans keep driving steals through every protocol point.
+	if !w.deque.Empty() && !w.san.Fail(schedsan.PointPush) {
+		c.spawnInline(fn, cl)
+		return
 	}
 	ord := f.nextOrdinal
 	f.nextOrdinal++
@@ -84,78 +114,58 @@ func (c *Context) Spawn(fn func(*Context)) {
 		c.ckey, c.cview = nil, nil
 	}
 	f.spawned++
-	w := c.w
-	child := w.getFrame(f, f.run, ord, f.depth+1)
+	child := w.getFrame(f, rs, ord, f.depth+1)
 	// spanLocal is zero on unobserved runs, and recycled frames reset the
 	// field, so the store needs no clock gate.
 	child.spawnSpan = c.spanLocal
 	child.t.fn = fn
-	w.hot.spawns++
-	if w.hot.spawns&(publishEvery-1) == 0 {
-		w.publish()
+	w.hot.pushes++
+	if rs.stats != nil {
+		w.acct(rs).c.pushes++
 	}
-	if f.run.stats != nil {
-		w.acct(f.run).c.spawns++
-	}
-	w.rec.Spawn()
 	// Wake a parked worker only when this push made the deque non-empty: a
 	// non-empty deque already blocks parking (the parker's under-lock
 	// stealableWork re-check), so pushes onto a deque with visible work
 	// cannot strand anyone — and spawn-path wakes are droppable anyway (see
-	// stealableWork's lost-wakeup argument). Spawn-dense runs thus probe
-	// rt.parked once per run-dry episode instead of once per spawn.
+	// stealableWork's lost-wakeup argument). Under the lazy policy only a
+	// forced push (PointPush) finds the deque non-empty.
 	if w.deque.PushBottom(&child.t) {
 		c.rt.wake()
 	}
 }
 
-// spawnInline is the serial elision's Spawn: it runs fn as the spawned
-// child to completion before returning, on the spawning strand, and never
-// pushes. The child frame comes off the worker's freelist and is counted
-// exactly as runTask counts a task, the hooks fire in depth-first serial
-// order, and the child shares the parent's views as a Call does — which
-// trivially yields the serial reduction order. No clock is read: the
-// strand never leaves the spawning segment, so an observed serial run's
-// work and span are both its root's one segment.
-func (c *Context) spawnInline(fn func(*Context)) {
+// spawnInline runs fn as a spawned child to completion before returning, on
+// the spawning strand, without pushing it: Spawn's path for a child no
+// thief needs, and for every child of the serial elision. The child frame
+// comes off the worker's freelist and runs through runFrame, the body every
+// task runs, so it is counted, traced and retired exactly as a popped
+// child is, and a panic in it is quarantined at the child — its own pushed
+// children drained — before control returns to the parent, as it would be
+// on any parallel schedule. It shares the parent's views with no seal or
+// deposit: serial order is the execution order. cl is the run's clock, nil
+// when unobserved and on the serial elision; with it the child deposits
+// its span into the parent's spanInline, to be max-merged with the
+// continuation's at the next Sync, as for a child popped there. Hooks fire
+// in depth-first serial order; they are installed only on serial runtimes.
+func (c *Context) spawnInline(fn func(*Context), cl *runClock) {
 	f := c.frame
-	rs := f.run
 	w := c.w
-	rs.checkBudget(w)
-	if rs.cancelled() {
-		return
-	}
 	h := c.rt.cfg.hooks
 	if h != nil {
 		h.Spawn()
-	}
-	child := w.getFrame(f, rs, 0, f.depth+1)
-	w.hot.spawns++
-	w.hot.tasksRun++
-	w.hot.frameStart(child.depth)
-	if rs.stats != nil {
-		m := w.acct(rs)
-		m.c.spawns++
-		m.c.tasksRun++
-		m.c.frameStart(child.depth)
-	}
-	cc := w.bindContext(child)
-	cc.views = c.views
-	if h != nil {
 		h.FrameStart()
 	}
-	fn(cc)
-	cc.Sync()
-	c.views = cc.views // the child may have (re)allocated the shared map
-	c.ckey, c.cview = nil, nil
+	child := w.getFrame(f, f.run, 0, f.depth+1)
+	child.spawnSpan = c.spanLocal
+	// The child may have (re)allocated or edited the shared map. A strand
+	// without views has no cached view either, so when neither side has any
+	// there is nothing to hand back or invalidate.
+	if views := w.runFrame(child, fn, c.views, cl); views != nil || c.views != nil {
+		c.views = views
+		c.ckey, c.cview = nil, nil
+	}
 	if h != nil {
 		h.FrameEnd()
-	}
-	// Not freed on a panic path: the recycler tolerates leaks.
-	w.putFrame(child)
-	w.hot.liveFrames--
-	if rs.stats != nil {
-		w.acct(rs).c.liveFrames--
 	}
 }
 
@@ -206,10 +216,12 @@ func (c *Context) Sync() {
 	// On an observed run a sync with something to join ends the strand
 	// segment; the wait itself is excluded from both clocks (a sync edge has
 	// zero weight in the dag model — the worker may run unrelated tasks
-	// while it waits, and those charge their own runs). A region that
-	// spawned nothing and started no loop has nothing to join: for the
-	// clocks that sync is no boundary, and the open segment continues.
-	timed := f.run.clock != nil && (f.spawned != 0 || f.nextLoopSeq != 0)
+	// while it waits, and those charge their own runs). A child run inline
+	// joined before its Spawn returned, but its deposited span still merges
+	// here. A region that pushed nothing, started no loop and ran no child
+	// inline has nothing to join or merge: for the clocks that sync is no
+	// boundary, and the open segment continues.
+	timed := f.run.clock != nil && (f.spawned != 0 || f.nextLoopSeq != 0 || f.spanInline != 0)
 	if timed {
 		c.charge()
 	}

@@ -448,7 +448,7 @@ type runCell struct {
 	// anything. memPeak is raised only on this cell's own positive charges.
 	memLive atomic.Int64
 	memPeak atomic.Int64
-	_       [32]byte // pad 12×8 B of counters to two 64 B cache lines
+	_       [24]byte // pad 13×8 B of counters to two 64 B cache lines
 }
 
 // runCounters is a run's accounting, sharded one cell per worker.
@@ -476,6 +476,7 @@ func (rs *runState) snapshot() Stats {
 		for i := range s.cells {
 			c := &s.cells[i]
 			out.Spawns += c.spawns.Load()
+			out.Pushed += c.pushes.Load()
 			out.Steals += c.steals.Load()
 			out.TasksRun += c.tasksRun.Load()
 			out.TasksSkipped += c.tasksSkipped.Load()

@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -53,7 +54,10 @@ func TestMemoryBudgetCancelAtChunkBoundary(t *testing.T) {
 // budget is cancelled — queued-but-unrun spawns are charged at allocation,
 // which is exactly the help-first space blowup Cilkmem bounds.
 func TestMemoryBudgetSpawnBomb(t *testing.T) {
-	rt := New(WithWorkers(2))
+	// Every spawn pushes (PointPush forced at rate 1): the help-first
+	// blowup — thousands of queued children — is the case a budget bounds.
+	// Lazy spawns would run all but one child inline (TestFlatSpawnSpace).
+	rt := New(WithWorkers(2), forcePushes())
 	defer rt.Shutdown()
 
 	// Budget worth ~32 frames; the root tries to spawn far more children
@@ -405,5 +409,57 @@ func TestQueuedCancelRootMem(t *testing.T) {
 	}
 	if st := tk.Stats(); st.MemLiveBytes != 0 || st.TasksSkipped != 1 {
 		t.Fatalf("MemLiveBytes/TasksSkipped = %d/%d, want 0/1", st.MemLiveBytes, st.TasksSkipped)
+	}
+}
+
+// TestFlatSpawnSpace pins lazy spawns' space bound on the shape that blew
+// up eager child stealing: a flat loop of 10 000 spawns before one Sync.
+// Eagerly, every child was a queued frame by the time the root synced —
+// 10 001 live frames at the peak. Lazily, the first child is pushed and
+// every later one finds the deque non-empty and runs inline, so the run's
+// peak is the root, the queued child and one inline child.
+//
+// At P = 2 the second worker serves another computation throughout, so
+// nothing is stolen from the loop. A thief would not raise the true peak
+// by more than the frame it runs, but the unbudgeted peak estimator sums
+// per-worker peaks, and a stolen frame is charged on the spawner and
+// refunded on the thief — each steal would add one frame to the estimate.
+func TestFlatSpawnSpace(t *testing.T) {
+	for _, p := range []int{1, 2} {
+		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
+			rt := New(WithWorkers(p))
+			defer rt.Shutdown()
+			if p == 2 {
+				started, release := make(chan struct{}), make(chan struct{})
+				other := mustSubmit(t, rt, func(*Context) {
+					close(started)
+					<-release
+				})
+				<-started
+				defer func() {
+					close(release)
+					if err := other.Wait(); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			tk := mustSubmit(t, rt, func(c *Context) {
+				for i := 0; i < 10000; i++ {
+					c.Spawn(func(*Context) {})
+				}
+				c.Sync()
+			}, WithStats())
+			if err := tk.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			st := tk.Stats()
+			if st.Spawns != 10000 || st.TasksRun != 10000 || st.Pushed != 1 {
+				t.Fatalf("Spawns/TasksRun/Pushed = %d/%d/%d, want 10000/10000/1", st.Spawns, st.TasksRun, st.Pushed)
+			}
+			if st.MemPeakBytes > 3*frameMemBytes || st.MemLiveBytes != 0 {
+				t.Fatalf("MemPeakBytes/MemLiveBytes = %d/%d, want ≤ %d (3 frames)/0",
+					st.MemPeakBytes, st.MemLiveBytes, 3*frameMemBytes)
+			}
+		})
 	}
 }

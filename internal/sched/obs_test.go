@@ -194,6 +194,52 @@ func TestObsSerialElision(t *testing.T) {
 	}
 }
 
+// TestObsInlineSpawnSpan: on one worker lazy spawns run most children
+// inline — only a spawn onto an empty deque pushes — and an inline child is
+// still a spawn of the dag: its span must merge by max with the
+// continuation's at the Sync, as a child popped there does. Observed fib(10)
+// with every node spinning, as in internal/obs's
+// TestOnlineMatchesOfflineCilkview, has an offline parallelism of about 17
+// (EXPERIMENTS.md O2). Threading an inline child's span serially, as Call
+// does, would report Work == Span. Each node spins 500 µs, so the run's
+// work is about 90 ms against a span of about 5 ms: the strand may be
+// descheduled for 20 ms on the critical path (a loaded host, -race) and
+// the bound still holds.
+func TestObsInlineSpawnSpan(t *testing.T) {
+	o := &captureObserver{}
+	rt := New(WithWorkers(1), WithRunObserver(o))
+	defer rt.Shutdown()
+	const leaf = 500 * time.Microsecond
+	var fib func(c *Context, n int) int
+	fib = func(c *Context, n int) int {
+		spinFor(leaf)
+		if n < 2 {
+			return n
+		}
+		var a int
+		c.Spawn(func(c *Context) { a = fib(c, n-1) })
+		b := fib(c, n-2)
+		c.Sync()
+		return a + b
+	}
+	var got int
+	if err := mustSubmit(t, rt, func(c *Context) { got = fib(c, 10) }).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got != 55 {
+		t.Fatalf("fib(10) = %d, want 55", got)
+	}
+	st := o.last(t).Stats
+	if st.Spawns != 88 || st.TasksRun != 88 || 2*st.Pushed >= st.Spawns {
+		t.Fatalf("Spawns/TasksRun/Pushed = %d/%d/%d, want 88/88 with most children inline", st.Spawns, st.TasksRun, st.Pushed)
+	}
+	if st.Span <= 0 || st.Work < 4*st.Span {
+		t.Fatalf("Work %v, Span %v: parallelism %.2f, want ≥ 4", st.Work, st.Span, float64(st.Work)/float64(st.Span))
+	}
+	t.Logf("Work %v, Span %v, parallelism %.2f, %d of %d spawns pushed",
+		st.Work, st.Span, float64(st.Work)/float64(st.Span), st.Pushed, st.Spawns)
+}
+
 // TestObsCallbacksPerRun checks that every run produces exactly one
 // RunStart/RunEnd pair with matching ids, including concurrent runs.
 func TestObsCallbacksPerRun(t *testing.T) {

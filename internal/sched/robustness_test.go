@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+
+	"cilkgo/internal/schedsan"
 )
 
 // TestPanicInDeeplyNestedChildDrains: a panic deep in the spawn tree must
@@ -188,5 +190,85 @@ func TestZeroWorkRun(t *testing.T) {
 	}
 	if s := rt.Stats(); s.Spawns != 0 || s.Steals != 0 {
 		t.Fatalf("stats = %+v, want all zero", s)
+	}
+}
+
+// TestPanicInlineChildQuarantined: a child that runs inline at its Spawn
+// (lazy spawns: the worker's deque already held work) panics. The panic is
+// quarantined at the child, as for a pushed child on any parallel
+// schedule: it must not unwind the parent's continuation, Wait reports
+// exactly that one panic, and the run settles with no live bytes. In the
+// second case the inline child pushed a child of its own before panicking;
+// that child must be run or skipped before Wait returns, which the
+// sanitizer's quiescence check at Wait verifies.
+//
+// The root first pushes a no-op child, so the deque is non-empty at the
+// next spawn. Thief-side steal faults at rate 1 keep the second worker from
+// taking it, which would empty the deque and make the next spawn push.
+func TestPanicInlineChildQuarantined(t *testing.T) {
+	noSteals := []schedsan.Rule{
+		{Point: schedsan.PointSteal, Mode: schedsan.ModeFail, Rate: 1},
+		{Point: schedsan.PointBatchClaim, Mode: schedsan.ModeFail, Rate: 1},
+	}
+	cases := []struct {
+		name string
+		// push is the extra PointPush rule, nil for none. Every: 2 fires at
+		// the worker's 2nd, 4th, … lazy-spawn decision: the panicking child
+		// (1st) runs inline and its first child (2nd) is pushed.
+		push                        *schedsan.Rule
+		pushed, tasksRun, tasksSkip int64
+	}{
+		{name: "leaf", pushed: 1, tasksRun: 1, tasksSkip: 1},
+		{name: "with-pushed-children", push: &schedsan.Rule{Point: schedsan.PointPush, Mode: schedsan.ModeFail, Every: 2},
+			pushed: 2, tasksRun: 2, tasksSkip: 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rules := noSteals
+			if tc.push != nil {
+				rules = append(rules[:len(rules):len(rules)], *tc.push)
+			}
+			opts, log := sanOpts(schedsan.Plan{Seed: 1, Rules: rules})
+			rt := New(WithWorkers(2), WithSanitize(opts))
+			defer rt.Shutdown()
+			var x, sawX atomic.Int64
+			sawX.Store(-1)
+			tk := mustSubmit(t, rt, func(c *Context) {
+				c.Spawn(func(*Context) {}) // pushed: the deque was empty
+				c.Spawn(func(c *Context) { // inline: the deque holds the first child
+					sawX.Store(x.Load())
+					if tc.push != nil {
+						c.Spawn(func(*Context) {}) // pushed by the Every-2 fault
+						c.Spawn(func(*Context) {}) // inline
+					}
+					panic("boom")
+				})
+				x.Store(1)
+				c.Sync()
+			}, WithStats())
+			err := tk.Wait()
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("Wait() = %v, want *PanicError", err)
+			}
+			if len(pe.All) != 1 || pe.Value != "boom" {
+				t.Fatalf("PanicError carries %d panics (first %v), want exactly the one boom", len(pe.All), pe.Value)
+			}
+			if x.Load() != 1 {
+				t.Fatal("the panic unwound the parent's continuation: x.Store(1) never ran")
+			}
+			if sawX.Load() != 0 {
+				t.Fatalf("panicking child saw x = %d, want 0 (it must run inline, before the continuation)", sawX.Load())
+			}
+			st := tk.Stats()
+			if st.MemLiveBytes != 0 {
+				t.Fatalf("MemLiveBytes = %d, want 0", st.MemLiveBytes)
+			}
+			if st.Pushed != tc.pushed || st.TasksRun != tc.tasksRun || st.TasksSkipped != tc.tasksSkip {
+				t.Fatalf("Pushed/TasksRun/TasksSkipped = %d/%d/%d, want %d/%d/%d",
+					st.Pushed, st.TasksRun, st.TasksSkipped, tc.pushed, tc.tasksRun, tc.tasksSkip)
+			}
+			log.empty(t)
+		})
 	}
 }

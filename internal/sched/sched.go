@@ -2,28 +2,32 @@
 // the paper) as a Go library.
 //
 // A Runtime owns a fixed set of workers, one per processor by default, each
-// an OS-thread-locked goroutine with a private work-stealing deque. A
-// spawned function's task is pushed onto the bottom of the spawning worker's
-// deque; when a worker runs out of work it becomes a thief and steals the
-// top (oldest) task from a randomly chosen victim, so all communication and
+// an OS-thread-locked goroutine with a private work-stealing deque. When a
+// worker runs out of work it becomes a thief and steals the top (oldest)
+// task from a randomly chosen victim, so all communication and
 // synchronization is incurred only when a worker runs out of work (§3.2).
 //
 // Deviation from Cilk++ (documented in DESIGN.md): Go cannot capture the
-// continuation of a running function, so Spawn pushes the child task and the
-// parent continues — child stealing, as in TBB and ForkJoinPool — rather
-// than Cilk's continuation stealing. The computation dag, the greedy
-// scheduling bound T_P ≤ T1/P + O(T∞), and the reducer semantics are
-// unaffected; the exact Cilk stack bound is reproduced by the faithful
-// continuation-stealing scheduler in internal/sim.
+// continuation of a running function, so the runtime steals children, as
+// TBB and ForkJoinPool do, rather than continuations. Spawns are lazy
+// (lazy task creation): a spawned child is pushed onto the bottom of the
+// spawning worker's deque, where a thief can take it, only when that deque
+// is empty; otherwise the child runs to completion inline before Spawn
+// returns, as cheap as the work-first principle asks, and is still a spawn
+// of the dag — its panic is quarantined at the child and its span merges by
+// max at the sync. The computation dag, the greedy scheduling bound T_P ≤
+// T1/P + O(T∞), and the reducer semantics are unaffected; the exact Cilk
+// stack bound is reproduced by the faithful continuation-stealing
+// scheduler in internal/sim.
 //
 // The runtime also supports a serial-elision mode (§1: parallel code
 // "retains its serial semantics when run on one processor"). Each run then
 // executes on a worker of its own on the caller's goroutine, through the
-// same root, frame and accounting paths as a parallel run, except that Spawn
-// runs the child to completion before returning instead of pushing it,
-// firing instrumentation hooks in depth-first serial order. The Cilkscreen
-// race detector (internal/race) and the Cilkview profiler
-// (internal/cilkview) run programs in this mode.
+// same root, spawn, frame and accounting paths as a parallel run, with every
+// child inline — its strand worker has no deque — and instrumentation hooks
+// firing in depth-first serial order. The Cilkscreen race detector
+// (internal/race) and the Cilkview profiler (internal/cilkview) run
+// programs in this mode.
 package sched
 
 import (
@@ -98,7 +102,8 @@ type TraceOption = trace.Option
 
 // WithTracing equips the runtime with a per-worker event tracer (see
 // internal/trace). The tracer starts disabled: until Tracer().Start() is
-// called, every instrumentation site costs one atomic load and a branch.
+// called, every instrumentation site costs a call, one atomic load and a
+// branch (without WithTracing, a nil test).
 // Tracing observes the parallel schedule and therefore requires a parallel
 // runtime; New panics if combined with WithSerialElision (use Hooks there).
 func WithTracing(opts ...TraceOption) Option {
@@ -675,22 +680,20 @@ func (w *worker) park() bool {
 	}
 }
 
-// runTask executes one task to completion: the spawned function's body plus
-// its implicit sync, then deposits the frame's reducer views with the parent
-// and signals the join (joinChild). Panics are quarantined into the run state
-// (cancelling the rest of the run) and the frame's outstanding children are
-// still drained, so a failed computation never leaves orphan tasks running
-// after Ticket.Wait returns. Tasks of a cancelled run are skipped, not executed —
-// the steal/pickup boundary is a cancel check site.
+// runTask executes one task to completion: a popped, stolen or picked-up
+// spawned child (or root) through runFrame, then the frame's views are
+// deposited with its parent and the join signalled (joinChild), or, for a
+// root, the run finished. Tasks of a cancelled run are skipped, not
+// executed — the steal/pickup boundary is a cancel check site.
 func (w *worker) runTask(t *task) {
 	if t.loop != nil {
 		w.runPiece(t)
 		return
 	}
 	fn, f := t.fn, t.frame
-	// The task is fused into its frame (frame.t) and recycles with it at the
-	// bottom of this function; dropping the closure reference here is the
-	// only per-task cleanup left.
+	// The task is fused into its frame (frame.t) and recycles with it in
+	// runFrame; dropping the closure reference here is the only per-task
+	// cleanup left.
 	t.fn = nil
 	rs := f.run
 	rs.checkBudget(w) // task start is a budget boundary, like the cancel gate below
@@ -698,6 +701,37 @@ func (w *worker) runTask(t *task) {
 		w.skipFrame(f)
 		return
 	}
+	p, ord := f.parent, f.ordinal // runFrame recycles f
+	views := w.runFrame(f, fn, nil, rs.clock)
+	// runFrame retired the frame — settled its live gauges and refunded its
+	// memory — before the parent's join is signalled (or the root
+	// finishes): the decrement and the refund thereby happen-before the
+	// run's done channel closes, so a run's live-frame and live-byte sums
+	// are exactly zero by the time Ticket.Wait returns. The deposit, too,
+	// precedes the join that orders the parent's fold after it.
+	if p != nil {
+		if len(views) > 0 {
+			p.depositChildViews(ord, views)
+		}
+		w.joinChild(p)
+	} else {
+		finalizeViews(views)
+		w.publish()
+		rs.finish()
+		w.clk = 0 // RunEnd ran inside finish: no longer a resume point
+	}
+}
+
+// runFrame runs fn as the body of frame f on w, to completion: the part of
+// a frame's life every spawned child shares however it was scheduled —
+// popped, stolen or picked up as a task (runTask), or run inline at its
+// spawn (spawnInline). It counts the task, runs fn and its implicit sync on
+// a strand that starts with views, and hands the rest to endFrame, which
+// quarantines a panic at the frame, closes the strand's clock, retires the
+// frame and returns the strand's final views, for the caller to deposit
+// with the parent or hand back to it.
+func (w *worker) runFrame(f *frame, fn func(*Context), views viewMap, cl *runClock) (out viewMap) {
+	rs := f.run
 	root := f.parent == nil
 	if !root {
 		w.hot.tasksRun++
@@ -721,59 +755,56 @@ func (w *worker) runTask(t *task) {
 	// nothing. Only w and rt need (re)binding — the frame link is a
 	// self-link preserved across pool lives, and resetFrame zeroed the rest.
 	ctx := w.bindContext(f)
-	cl := rs.clock
+	if views != nil { // a fresh or recycled frame's views are nil already
+		ctx.views = views
+	}
 	if cl != nil {
 		w.resumeClock()
 	}
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				rs.poison(r)
-				w.rec.Panic(f.depth, rs.id)
-				ctx.syncWait()  // drain children even on panic
-				w.resumeClock() // the drain may have idled the worker
-			}
-		}()
-		fn(ctx)
-		ctx.Sync() // implicit sync before return (§1)
-	}()
+	defer w.endFrame(ctx, cl, &out)
+	fn(ctx)
+	ctx.Sync() // implicit sync before return (§1)
+	return
+}
 
+// endFrame is runFrame's epilogue, deferred so that it runs on a panic too
+// and can recover it. A panic is quarantined at the frame: poison records
+// it and cancels the rest of the run, and the frame's own children are
+// still drained, so a failed computation never leaves orphan tasks running
+// after Ticket.Wait returns, and the panic never unwinds into the parent.
+// On an observed run (cl non-nil) the frame's last strand segment is
+// closed and its span deposited. The frame is retired last, and the
+// strand's views are stored to *out.
+func (w *worker) endFrame(ctx *Context, cl *runClock, out *viewMap) {
+	f := ctx.frame
+	rs := f.run
+	if r := recover(); r != nil {
+		rs.poison(r)
+		w.rec.Panic(f.depth, rs.id)
+		ctx.syncWait()  // drain children even on panic
+		w.resumeClock() // the drain may have idled the worker
+	}
 	if cl != nil {
 		// Close the frame's final strand segment and publish its span. The
-		// deposit happens strictly before the join-counter decrement below,
-		// so a parent folding after the join observes it; for the root, the
+		// deposit happens strictly before the caller's join signal, so a
+		// parent folding after the join observes it; for the root, the
 		// store precedes rs.finish()'s done-channel close, which publishes
 		// the span to the Ticket's waiter.
 		ctx.charge()
 		ctx.depositSpan(cl)
 	}
-
-	p := f.parent
-	views := ctx.views
-	if p != nil && len(views) > 0 {
-		p.depositChildViews(f.ordinal, views)
-		views = nil
+	if ctx.views != nil { // out is nil already
+		*out = ctx.views
 	}
-	// The frame's own work is complete — children joined, views deposited —
+	// The frame's own work is complete — children joined, span deposited —
 	// so this strand owns it exclusively and nothing can reach it through
 	// the deque (ring slots no longer retain stale pointers). Recycle it,
-	// with its embedded task and Context, and settle the live gauges BEFORE
-	// signalling the parent's join (or finishing the root): the decrement
-	// and the frame's memory refund thereby happen-before the run's done
-	// channel closes, so a run's live-frame and live-byte sums are exactly
-	// zero by the time Ticket.Wait returns.
+	// with its embedded task and Context; the strand's views outlive it
+	// (resetFrame drops only the header).
 	w.recycleFrame(f)
 	w.hot.liveFrames--
 	if rs.stats != nil {
 		w.acct(rs).c.liveFrames--
-	}
-	if p != nil {
-		w.joinChild(p)
-	} else {
-		finalizeViews(views)
-		w.publish()
-		rs.finish()
-		w.clk = 0 // RunEnd ran inside finish: no longer a resume point
 	}
 	w.rec.TaskEnd()
 }

@@ -265,6 +265,18 @@ func TestStatsCounting(t *testing.T) {
 	if s.Steals > s.Spawns {
 		t.Fatalf("Steals = %d exceeds Spawns = %d", s.Steals, s.Spawns)
 	}
+	// Lazy spawns: the root's first spawn finds its worker's deque empty
+	// and pushes; every push is a spawn, and a thief can only take a child
+	// that was pushed (fib starts no loops, so there are no range tasks).
+	if s.Pushed == 0 || s.Pushed > s.Spawns {
+		t.Fatalf("Pushed = %d, Spawns = %d; want 0 < Pushed ≤ Spawns", s.Pushed, s.Spawns)
+	}
+	if s.Steals > s.Pushed {
+		t.Fatalf("Steals = %d exceeds Pushed = %d", s.Steals, s.Pushed)
+	}
+	if m := rt.Metrics(); m["pushes"] != s.Pushed {
+		t.Fatalf("Metrics pushes = %d, Stats.Pushed = %d", m["pushes"], s.Pushed)
+	}
 	if s.MaxDepth == 0 || s.MaxLiveFrames == 0 {
 		t.Fatalf("depth stats missing: %+v", s)
 	}

@@ -43,6 +43,7 @@ type workerStats struct {
 // for the run it is currently accounting for (runMirror).
 type hotStats struct {
 	spawns        int64
+	pushes        int64
 	tasksRun      int64
 	tasksSkipped  int64
 	chunksPeeled  int64
@@ -56,6 +57,7 @@ type hotStats struct {
 // store to them.
 type hotCells struct {
 	spawns        atomic.Int64
+	pushes        atomic.Int64
 	tasksRun      atomic.Int64
 	tasksSkipped  atomic.Int64
 	chunksPeeled  atomic.Int64
@@ -68,6 +70,7 @@ type hotCells struct {
 // so a hunting worker's repeated publishes are loads only.
 func (c *hotCells) store(h *hotStats) {
 	publishTo(&c.spawns, h.spawns)
+	publishTo(&c.pushes, h.pushes)
 	publishTo(&c.tasksRun, h.tasksRun)
 	publishTo(&c.tasksSkipped, h.tasksSkipped)
 	publishTo(&c.chunksPeeled, h.chunksPeeled)
@@ -80,6 +83,7 @@ func (c *hotCells) store(h *hotStats) {
 func (c *hotCells) load() hotStats {
 	return hotStats{
 		spawns:        c.spawns.Load(),
+		pushes:        c.pushes.Load(),
 		tasksRun:      c.tasksRun.Load(),
 		tasksSkipped:  c.tasksSkipped.Load(),
 		chunksPeeled:  c.chunksPeeled.Load(),
@@ -230,8 +234,15 @@ func maxStore(m *atomic.Int64, v int64) {
 
 // Stats summarizes scheduler activity since the runtime was created.
 type Stats struct {
-	// Spawns is the total number of Spawn calls.
+	// Spawns is the number of Spawn calls that created a child — the
+	// logical spawns of the dag (a Spawn on an already cancelled run is a
+	// no-op and is not counted). Pushed is how many of those children were
+	// pushed onto a deque, where a thief could take them; the rest ran
+	// inline at their Spawn (lazy spawns: a child is pushed only when the
+	// spawning worker's deque is empty). Pushed ≤ Spawns, and Pushed is 0
+	// on a serial-elision runtime.
 	Spawns int64
+	Pushed int64
 	// Steals counts successful steals; StealAttempts counts all steal
 	// probes, successful or not. The ratio Steals/Spawns is the empirical
 	// measure behind §3.2's claim that "stealing is infrequent" when
@@ -322,6 +333,7 @@ func (rt *Runtime) Stats() Stats {
 	var s Stats
 	for _, w := range rt.workers {
 		s.Spawns += w.ws.spawns.Load()
+		s.Pushed += w.ws.pushes.Load()
 		s.Steals += w.ws.steals.Load()
 		s.StealAttempts += w.ws.stealAttempts.Load()
 		s.StealBatches += w.ws.stealBatches.Load()
@@ -352,6 +364,7 @@ func (rt *Runtime) Stats() Stats {
 // delta is meaningless — so Sub keeps s's values for them.
 func (s Stats) Sub(prev Stats) Stats {
 	s.Spawns -= prev.Spawns
+	s.Pushed -= prev.Pushed
 	s.Steals -= prev.Steals
 	s.StealAttempts -= prev.StealAttempts
 	s.StealBatches -= prev.StealBatches
@@ -382,6 +395,7 @@ func (rt *Runtime) Metrics() map[string]int64 {
 	m := map[string]int64{
 		"workers":              int64(rt.cfg.workers),
 		"spawns":               s.Spawns,
+		"pushes":               s.Pushed,
 		"steals":               s.Steals,
 		"steal_attempts":       s.StealAttempts,
 		"steal_batches":        s.StealBatches,

@@ -4,8 +4,18 @@ import (
 	"testing"
 	"time"
 
+	"cilkgo/internal/schedsan"
 	"cilkgo/internal/trace"
 )
+
+// forcePushes arms the sanitizer with one rule, PointPush at rate 1: every
+// Spawn pushes its child, as before lazy spawns, for tests that need deep
+// deques or many queued frames.
+func forcePushes() Option {
+	return WithSanitize(schedsan.Options{Plan: schedsan.Plan{Seed: 1, Rules: []schedsan.Rule{
+		{Point: schedsan.PointPush, Mode: schedsan.ModeFail, Rate: 1},
+	}}})
+}
 
 // TestUnparkWakeupLatency is the regression test for the unpark-sleep bug:
 // the old idle loop made a just-woken worker execute time.Sleep with the
@@ -53,7 +63,10 @@ func TestUnparkWakeupLatency(t *testing.T) {
 // steal, batched tasks come only from batches, and the per-worker sums match
 // the aggregate.
 func TestStealBatchCounters(t *testing.T) {
-	rt := New(WithWorkers(4), WithNoThreadLocking())
+	// Every spawn pushes (PointPush forced at rate 1): lazy spawns would run
+	// most of the leaves inline and never build the long deque this test
+	// needs — it tests the batch counters, not the push policy.
+	rt := New(WithWorkers(4), WithNoThreadLocking(), forcePushes())
 	defer rt.Shutdown()
 
 	// A wide, flat spawn: the root pushes many leaves before they drain, so
@@ -96,6 +109,9 @@ func TestStealBatchCounters(t *testing.T) {
 	}
 	if s.TasksRun != s.Spawns {
 		t.Fatalf("TasksRun = %d, Spawns = %d; batching must not lose or duplicate tasks", s.TasksRun, s.Spawns)
+	}
+	if s.Pushed != s.Spawns {
+		t.Fatalf("Pushed = %d, Spawns = %d; a forced push at rate 1 pushes every child", s.Pushed, s.Spawns)
 	}
 
 	m := rt.Metrics()

@@ -44,7 +44,7 @@ import (
 // fault can be injected. The set mirrors the places the runtime makes a
 // lock-free protocol decision: steal probes, batch-claim arbitration,
 // park/wake, lazy-loop chunk peeling and range splitting, reducer view
-// folds, and object-pool recycling.
+// folds, object-pool recycling, and the lazy spawn's push-or-inline choice.
 type Point uint8
 
 const (
@@ -98,6 +98,12 @@ const (
 	// liveness). Only budget-armed runs ever reach the point, so the rule is
 	// inert for ordinary work.
 	PointMemCharge
+	// PointPush is a lazy spawn's decision to run its child inline because
+	// the spawning worker's deque already holds work: a forced failure
+	// pushes the child anyway (legal — an eager push is what a spawn onto
+	// an empty deque does), so fault plans keep deques deep and thieves
+	// busy however few children the lazy policy would expose.
+	PointPush
 
 	// NumPoints is the number of defined points.
 	NumPoints
@@ -106,7 +112,7 @@ const (
 var pointNames = [NumPoints]string{
 	"steal", "batch-claim", "batch-cas", "batch-window", "wake", "park",
 	"chunk-peel", "range-split", "view-fold", "recycle",
-	"inject-wake", "mem-charge",
+	"inject-wake", "mem-charge", "push",
 }
 
 func (p Point) String() string {
@@ -222,7 +228,8 @@ var ruleMenu = []func(rng *rand.Rand) Rule{
 	// NOTE for corpus archaeology: changing this menu reshuffles which plan
 	// RandomPlan derives from a given seed — the pinned corpus seeds still
 	// run liveness-safe plans, they just cover different ones than when they
-	// were minted (PR 8 added two steal-domain entries, PR 21 removed them).
+	// were minted (PR 8 added two steal-domain entries, PR 21 removed them;
+	// the PointPush entry came last, with lazy spawns).
 	// cmd/schedfuzz's TestCorpusCoversMenu checks that seeds 1–24 still
 	// cover every (point, mode) pair the menu can produce.
 	// Memory fault (liveness-safe: a forced budget trip cancels the run with
@@ -231,6 +238,11 @@ var ruleMenu = []func(rng *rand.Rand) Rule{
 	func(r *rand.Rand) Rule {
 		return Rule{Point: PointMemCharge, Mode: ModeFail, Rate: 0.01 + 0.2*r.Float64()}
 	},
+	// Eager pushes (liveness-safe: a pushed child is joined by its parent's
+	// sync like any other). Lazy spawns push only onto an empty deque, so
+	// without this entry a fault plan would rarely find more than one
+	// stealable child per worker to perturb.
+	func(r *rand.Rand) Rule { return Rule{Point: PointPush, Mode: ModeFail, Rate: 0.1 + 0.9*r.Float64()} },
 }
 
 // RandomPlan derives a fault plan deterministically from seed: between one

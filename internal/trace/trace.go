@@ -5,7 +5,8 @@
 // events written only by the owning worker goroutine, so the hot path takes
 // no locks and allocates nothing. Recording is gated by a single atomic
 // "enabled" flag: with tracing off, the cost of an instrumentation site is
-// one nil check, one atomic load, and one predictable branch.
+// one nil check, a call, one atomic load, and one predictable branch — and
+// on a runtime built without a tracer, the inlined nil check alone.
 //
 // A stopped tracer drains into a Trace — the raw per-worker event
 // timelines — from which the package derives two consumable forms:
@@ -270,10 +271,19 @@ type Recorder struct {
 	seq atomic.Uint64
 }
 
-// record appends one event if the tracer is enabled. The disabled path is
-// a nil check, one atomic load, and a branch.
+// record appends one event if the tracer is enabled. It is small enough to
+// inline into every instrumentation site, so a runtime built without a
+// tracer pays a nil test there and no call; a disabled tracer's path is
+// that test, a call, one atomic load and a branch.
 func (r *Recorder) record(k Kind, arg int32, run int64) {
-	if r == nil || !r.t.enabled.Load() {
+	if r != nil {
+		r.write(k, arg, run)
+	}
+}
+
+// write is record's path for a runtime that has a tracer.
+func (r *Recorder) write(k Kind, arg int32, run int64) {
+	if !r.t.enabled.Load() {
 		return
 	}
 	r.seq.Add(1)
