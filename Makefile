@@ -111,10 +111,13 @@ prof-obs:
 # (forced claim/CAS failures, stretched claim windows, seeded fault
 # schedules), the lazy-spawn tests (a flat spawn loop's space bound, a panic
 # quarantined at an inline child, an inline child's span merged at the sync),
-# and pfor's chunk-local fold and ForRange partition tests — repeated under
-# the race detector (mirrors the CI job).
+# the panic-drain tests (a panic unwinding through a Call while a thief runs
+# its child or loop piece, a panic inside a stolen range piece or in a chunk
+# the owner holds), and pfor's
+# chunk-local fold and ForRange partition tests — repeated under the race
+# detector (mirrors the CI job).
 stress-deque:
-	$(GO) test -race -count=5 -run 'StealBatch|GrowRacesThieves|ClearsSlots|UnparkWakeup|HuntPhase|RangeExactlyOnce|Gate|San|Lane|Starved|QueuedByClass|QueueLatency|Serial|FlatSpawnSpace|PanicInlineChild|ObsInlineSpawnSpan' ./internal/deque/ ./internal/sched/
+	$(GO) test -race -count=5 -run 'StealBatch|GrowRacesThieves|ClearsSlots|UnparkWakeup|HuntPhase|RangeExactlyOnce|Gate|San|Lane|Starved|QueuedByClass|QueueLatency|Serial|FlatSpawnSpace|PanicInlineChild|ObsInlineSpawnSpan|PanicCall|PanicStolenRange|PanicHeldChunk' ./internal/deque/ ./internal/sched/
 	$(GO) test -race -count=5 -run 'Reduce|ForRange' ./internal/pfor/
 	$(GO) test -race -count=5 -run 'TestAlloc' .
 

@@ -83,9 +83,7 @@ func (rs *runState) cancelWith(cause error) {
 	rs.cancelOnce.Do(func() {
 		rs.cause = cause
 		rs.canceled.Store(true)
-		if rs.rt != nil {
-			rs.rt.runsCanceled.Add(1)
-		}
+		rs.rt.runsCanceled.Add(1)
 	})
 }
 
@@ -181,7 +179,7 @@ func (rt *Runtime) ShutdownDrain(drain time.Duration) bool {
 	rt.wg.Wait()
 	rt.san.shut()
 	// Satellite invariant of the drain protocol: a bounded drain must never
-	// strand a task. Workers exit only when closed && activeRoots == 0 &&
+	// strand a task. Workers exit only when closed && no run is active &&
 	// the injection queue is empty, and an unexecuted task keeps its run's
 	// join counters above zero — which keeps the run active — so after
 	// wg.Wait every deque and the injection queue must be empty even when

@@ -191,6 +191,14 @@ func (c *Context) Call(fn func(*Context)) {
 	// so the copies need no clock gate.
 	cc := &child.ctx
 	cc.w, cc.rt, cc.views, cc.spanLocal = w, c.rt, c.views, c.spanLocal
+	// The frame is retired on a panic too. The deferred calls do not
+	// recover: the panic unwinds on to the enclosing frame's endFrame, which
+	// quarantines it with the panicking strand's stack. First the callee's
+	// outstanding children and loop pieces are drained, so none of them runs
+	// after Ticket.Wait returns; on a normal return Sync has joined them all
+	// and syncWait has nothing to do.
+	defer w.putFrame(child)
+	defer cc.syncWait()
 	fn(cc)
 	cc.Sync() // implicit sync of the called frame
 	c.spanLocal = cc.spanLocal
@@ -199,8 +207,6 @@ func (c *Context) Call(fn func(*Context)) {
 	if h != nil {
 		h.CallEnd()
 	}
-	// Not freed on a panic path: the recycler tolerates leaks.
-	w.putFrame(child)
 }
 
 // Sync waits until every child spawned by this function has completed — a

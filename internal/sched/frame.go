@@ -136,7 +136,7 @@ func (f *frame) depositPiece(seq int32, start int, views viewMap) {
 		return
 	}
 	f.redMu.Lock()
-	if rt := f.run.rt; rt != nil && rt.sanChecks() {
+	if rt := f.run.rt; rt.sanChecks() {
 		// Iteration indexes are consumed exactly once, so two episodes of
 		// one loop can never begin at the same index: a duplicate (seq,
 		// start) deposit means some piece executed twice.
@@ -183,7 +183,7 @@ func (f *frame) sealSegment(k int32, views viewMap) {
 // worker when the child's task completes.
 func (f *frame) depositChildViews(k int32, views viewMap) {
 	f.redMu.Lock()
-	if rt := f.run.rt; rt != nil && rt.sanChecks() && int(k) < len(f.childViews) && f.childViews[k] != nil {
+	if rt := f.run.rt; rt.sanChecks() && int(k) < len(f.childViews) && f.childViews[k] != nil {
 		// Each spawn ordinal belongs to exactly one child task; a second
 		// deposit at the same ordinal means that task completed twice.
 		f.redMu.Unlock()
@@ -420,7 +420,7 @@ func (rs *runState) release() {
 		// boundary checks may race to install the cause, but only one
 		// release runs. canceled's publish order guarantees cause is
 		// readable once the flag is up.
-		if rs.canceled.Load() && rs.cause == ErrMemoryBudget && rs.rt != nil {
+		if rs.canceled.Load() && rs.cause == ErrMemoryBudget {
 			rs.rt.memBudgetCancels.Add(1)
 		}
 		rs.rt.adm.release(rs)
@@ -475,20 +475,10 @@ func (rs *runState) snapshot() Stats {
 	if s := rs.stats; s != nil {
 		for i := range s.cells {
 			c := &s.cells[i]
-			out.Spawns += c.spawns.Load()
-			out.Pushed += c.pushes.Load()
+			out.addHot(c.hotCells.load())
 			out.Steals += c.steals.Load()
-			out.TasksRun += c.tasksRun.Load()
-			out.TasksSkipped += c.tasksSkipped.Load()
 			out.LoopSplits += c.loopSplits.Load()
-			out.ChunksPeeled += c.chunksPeeled.Load()
 			out.RangeSteals += c.rangeSteals.Load()
-			if m := c.maxLiveFrames.Load(); m > out.MaxLiveFrames {
-				out.MaxLiveFrames = m
-			}
-			if m := c.maxDepth.Load(); m > out.MaxDepth {
-				out.MaxDepth = m
-			}
 		}
 	}
 	if cl := rs.clock; cl != nil {
@@ -508,9 +498,7 @@ func (rs *runState) poison(v any) {
 	rs.panicMu.Lock()
 	rs.panics = append(rs.panics, Panic{Value: v, Stack: debug.Stack()})
 	rs.panicMu.Unlock()
-	if rs.rt != nil {
-		rs.rt.panicsQuarantined.Add(1)
-	}
+	rs.rt.panicsQuarantined.Add(1)
 	rs.cancelWith(errSiblingPanic)
 }
 
@@ -527,9 +515,8 @@ func (rs *runState) finish() {
 	rt := rs.rt
 	rs.release()
 	rt.mu.Lock()
-	rt.activeRoots--
 	delete(rt.active, rs)
-	if rt.activeRoots == 0 {
+	if len(rt.active) == 0 {
 		rt.cond.Broadcast()
 	}
 	rt.mu.Unlock()
@@ -718,14 +705,16 @@ func (w *worker) spillFrames() {
 	bump(&w.ws.poolSpills)
 }
 
-// freeRangeTask retires a consumed range task. Range tasks are never
-// pooled: the peel protocol recognizes a re-published remainder by
+// freeRangeTask retires a consumed range task: it releases the task's unit
+// of its loop frame's join, then drops the loop reference. Range tasks are
+// never pooled: the peel protocol recognizes a re-published remainder by
 // comparing task pointers, so recycling a finished range task could alias a
 // pointer a peeling worker still compares against. Dropping the loop
 // reference (so the loopState can collect promptly) is all the recycling
 // they get; range tasks are rare — O(splits), not O(n/grain) — so the
 // allocation is noise.
 func freeRangeTask(t *task) {
+	t.loop.frame.join.Add(-1)
 	t.loop = nil
 }
 

@@ -28,6 +28,12 @@ import "cilkgo/internal/schedsan"
 //     split tree unfolds exactly as deep as the thieves demand:
 //     O(P · log(n/grain)) pieces instead of Θ(n/grain) tasks.
 //
+//   - A scheduled piece — a range task popped from a deque or stolen — is a
+//     spawned child of the loop frame, as in the paper's recursion: each of
+//     its execution episodes runs peel as the body of a fresh piece frame
+//     through runFrame, the body every child runs, so it is counted, traced,
+//     clocked, quarantined on a panic and retired exactly as a task is.
+//
 // Join and reducer invariants are preserved. Every live range task holds
 // exactly one unit of the loop frame's atomic join word (a split adds one for
 // the new half before publishing it; thieves add and release units, so unlike
@@ -52,9 +58,10 @@ type loopState struct {
 	// body executes iterations [lo, hi) serially on the strand of c.
 	body func(c *Context, lo, hi int)
 	// spawnSpan is the loop frame's local span at the instant the loop was
-	// created (see obs.go). Stolen pieces deposit spawnSpan + their episode
-	// span into the loop frame's child-span gauges, approximating the loop's
-	// span as its longest episode; zero on unobserved runs.
+	// created (see obs.go), and the spawnSpan of every piece frame, so each
+	// scheduled episode deposits spawnSpan + its own span into the loop
+	// frame's child-span gauges, approximating the loop's span as its
+	// longest episode; zero on unobserved runs.
 	spawnSpan int64
 }
 
@@ -98,48 +105,47 @@ func (c *Context) LoopRange(lo, hi, grain int, body func(c *Context, lo, hi int)
 	t := newRangeTask(ls, lo, hi)
 	// The calling strand is the loop's first executor: peel inline, on the
 	// loop frame's own context, so the owner's iterations accumulate views
-	// directly into the strand's current segment (the serial prefix). If the
-	// peel consumed the whole task, join it here; otherwise its next owner
-	// (a thief, or this worker's later pop) joins it.
-	var held bool
-	if c.w.peel(t, c, &held) {
-		f.join.Add(-1)
-		freeRangeTask(t)
-	}
+	// directly into the strand's current segment (the serial prefix).
+	c.w.peel(t, c)
 }
 
 // peel executes range task t on worker w with context ctx, which must be
-// exclusively owned by the calling strand. It returns true when this
-// episode consumed t (ran its final chunk, or abandoned it to
-// cancellation), in which case the caller owes the loop frame a join; it
-// returns false when t passed to another owner — stolen by a thief, or left
-// in w's deque behind newer work — in which case t's next executor joins it.
+// exclusively owned by the calling strand, until this episode consumes t
+// (runs its final chunk, or abandons it to cancellation) or t passes to
+// another owner — stolen by a thief, or left in w's deque behind newer
+// work — whose episode then goes on with it.
 //
-// *held mirrors the return value but is kept current throughout: it is true
-// exactly while this strand owes t's join, updated before every point a
-// chunk body could panic. A caller recovering a panic must consult *held —
-// not t's fields, which a thief may own by then — to decide whether to join.
-func (w *worker) peel(t *task, ctx *Context, held *bool) bool {
+// The episode that consumes t releases t's unit of the loop frame's join,
+// on a panic in a chunk too, so neither the loop's sync nor a drain after
+// the panic waits for it forever. held is true exactly while this strand
+// owns t, updated before every point a chunk body could panic: t's own
+// fields may belong to a thief by then.
+func (w *worker) peel(t *task, ctx *Context) {
 	ls := t.loop
 	rs := ls.frame.run
-	*held = true
+	held := true
+	defer func() {
+		if held {
+			freeRangeTask(t)
+		}
+	}()
 	for {
 		lo, hi := t.lo, t.hi
 		rs.checkBudget(w) // the chunk boundary bounds over-budget latency
 		if rs.cancelled() {
-			return true // skip-but-join: remaining iterations abandoned
+			return // skip-but-join: remaining iterations abandoned
 		}
 		if hi-lo <= ls.grain {
 			// Final chunk: nothing left to publish; t stays held through it.
 			w.runChunk(ctx, ls, lo, hi)
-			return true
+			return
 		}
 		end := lo + ls.grain
 		// Publish the remainder before running the chunk: mutate the range
 		// first — the deque's push/steal synchronization publishes the new
 		// bounds to any thief — then make it stealable.
 		t.lo = end
-		*held = false
+		held = false
 		// Like Spawn's push, wake only on the empty→non-empty transition:
 		// a remainder republished behind other visible work cannot strand a
 		// parker (stealableWork's re-check), and the drop is benign anyway.
@@ -157,13 +163,13 @@ func (w *worker) peel(t *task, ctx *Context, held *bool) bool {
 		// scheduled piece.
 		x := w.deque.PopBottom()
 		if x == t {
-			*held = true
+			held = true
 			continue
 		}
 		if x != nil {
 			w.deque.PushBottom(x)
 		}
-		return false
+		return
 	}
 }
 
@@ -214,24 +220,23 @@ func (w *worker) splitRange(t *task) {
 }
 
 // runPiece executes a scheduled range task — one popped from a deque or
-// taken by a thief — to completion or handoff. The episode runs in its own
-// piece frame (a child of the loop frame) so body spawns get private
-// ordinal bookkeeping, and deposits the views of the iterations it ran
-// keyed by its start index before signalling the loop frame's join counter.
-// Tasks of a cancelled run are skipped, not executed, exactly like fn tasks.
+// taken by a thief — to completion or handoff. The episode is a spawned
+// child of the loop frame (§2: cilk_for is divide-and-conquer spawning): it
+// runs peel as the body of a piece frame through runFrame, so it is
+// counted, traced, clocked, quarantined on a panic, retired and settled
+// exactly as any child is, and on an observed run endFrame deposits its
+// span — the loop's spawnSpan plus the episode's — into the loop frame.
+// What is left here is loop-specific: the episode's join unit and the views
+// of the iterations it ran, deposited keyed by its start index; peel
+// releases the task's own unit. Tasks of a cancelled run are skipped, not
+// executed, exactly like fn tasks.
 func (w *worker) runPiece(t *task) {
 	ls := t.loop
 	lf := ls.frame
 	rs := lf.run
-	depth := lf.depth + 1
 	if rs.cancelled() {
-		w.hot.tasksSkipped++
-		if rs.stats != nil {
-			w.acct(rs).c.tasksSkipped++
-		}
-		w.rec.TaskSkip(depth, rs.id)
+		w.countSkip(rs, lf.depth+1)
 		w.publish()
-		lf.join.Add(-1)
 		freeRangeTask(t)
 		return
 	}
@@ -244,69 +249,26 @@ func (w *worker) runPiece(t *task) {
 	// (The owner-inline peel in LoopRange needs none: the owning strand calls
 	// the loop's Sync itself, strictly after its peel returns.)
 	lf.join.Add(1)
-	w.hot.tasksRun++
-	w.hot.frameStart(depth)
-	if rs.stats != nil {
-		m := w.acct(rs)
-		m.c.tasksRun++
-		m.c.frameStart(depth)
-	}
-	w.rec.TaskStart(depth, rs.id)
-
-	pf := w.getFrame(lf, rs, 0, depth)
-	ctx := w.bindContext(pf)
-	cl := rs.clock
-	if cl != nil {
-		w.resumeClock()
-	}
-	consumed, held := false, false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				// A panic inside a chunk poisons the run. Whether this episode
-				// still owes t's join depends on whether it held t at the
-				// instant of the panic — peel keeps held current for exactly
-				// this purpose (t's own fields may belong to a thief by now).
-				consumed = held
-				rs.poison(r)
-				w.rec.Panic(depth, rs.id)
-				ctx.syncWait()  // drain body spawns even on panic
-				w.resumeClock() // the drain may have idled the worker
-			}
-		}()
-		consumed = w.peel(t, ctx, &held)
-		ctx.Sync() // join body spawns of this episode's chunks
-	}()
-
-	if cl != nil {
-		// Close the episode's strand and deposit its span against the loop
-		// frame, keyed at the loop's creation point — the loop's span is
-		// approximated by its longest episode (the split-tree depth is not
-		// charged; DESIGN.md §4e). Ordered before the join decrements below,
-		// like every span deposit.
-		ctx.charge()
-		lf.depositChildSpan(w, ls.spawnSpan+ctx.spanLocal)
-	}
-	// Deposit before signalling the join counter: the loop's sync must not
-	// fold until every episode's views are visible.
-	lf.depositPiece(ls.seq, start, ctx.views)
-	// Retire the piece frame and settle the live gauges before releasing the
-	// join units: once the episode unit drops, the loop's sync may fold and
-	// the run may finish, and by then this episode's frame refund and
-	// live-frame decrement must already be visible (see runTask's completion
-	// path for the same ordering).
-	w.recycleFrame(pf)
-	w.hot.liveFrames--
-	if rs.stats != nil {
-		w.acct(rs).c.liveFrames--
-	}
-	// A piece's units are released through the shared word wherever it ran,
-	// so its counts are published first, like any off-strand join's.
+	pf := w.getFrame(lf, rs, 0, lf.depth+1)
+	pf.spawnSpan = ls.spawnSpan
+	views := w.runFrame(pf, func(ctx *Context) { w.peel(t, ctx) }, nil, rs.clock)
+	// runFrame retired the piece frame before the episode unit drops (see
+	// runTask). Deposit before signalling the join counter: the loop's sync
+	// must not fold until every episode's views are visible. The episode
+	// unit is released through the shared word wherever the piece ran, so
+	// its counts are published first, like any off-strand join's.
+	lf.depositPiece(ls.seq, start, views)
 	w.publish()
-	if consumed {
-		lf.join.Add(-1)
-		freeRangeTask(t)
-	}
 	lf.join.Add(-1) // release the episode unit
-	w.rec.TaskEnd()
+}
+
+// countSkip counts a task of run rs, at spawn depth depth, skipped unrun
+// because the run was cancelled: a frame (skipFrame) or a range piece
+// (runPiece).
+func (w *worker) countSkip(rs *runState, depth int32) {
+	w.hot.tasksSkipped++
+	if rs.stats != nil {
+		w.acct(rs).c.tasksSkipped++
+	}
+	w.rec.TaskSkip(depth, rs.id)
 }

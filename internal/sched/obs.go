@@ -25,10 +25,12 @@ package sched
 //     spanLocal = max(spanLocal, child spans) — exactly the dag recurrence
 //     span(parent) = max(serial path, spawn point + span(child)).
 //
-//   - Lazy-loop pieces (loop.go) deposit their episode duration against the
-//     loop frame keyed at the loop's spawn point, approximating the loop's
-//     span as the longest piece episode; the O(log n) split-tree depth is
-//     not charged. DESIGN.md §4e quantifies the approximation.
+//   - A scheduled lazy-loop piece (loop.go) runs each episode in a piece
+//     frame whose spawnSpan is the loop's creation-point span, so the
+//     episode deposits into the loop frame like any child: the loop's span
+//     is approximated as its longest piece episode, and the O(log n)
+//     split-tree depth is not charged. DESIGN.md §4e quantifies the
+//     approximation.
 //
 // The clock is read only where user code stops: at a Spawn (and a loop's
 // creation), at a Sync that has something to join, and at the end of a task

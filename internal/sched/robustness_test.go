@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cilkgo/internal/schedsan"
+	"cilkgo/internal/trace"
 )
 
 // TestPanicInDeeplyNestedChildDrains: a panic deep in the spawn tree must
@@ -246,14 +249,7 @@ func TestPanicInlineChildQuarantined(t *testing.T) {
 				x.Store(1)
 				c.Sync()
 			}, WithStats())
-			err := tk.Wait()
-			var pe *PanicError
-			if !errors.As(err, &pe) {
-				t.Fatalf("Wait() = %v, want *PanicError", err)
-			}
-			if len(pe.All) != 1 || pe.Value != "boom" {
-				t.Fatalf("PanicError carries %d panics (first %v), want exactly the one boom", len(pe.All), pe.Value)
-			}
+			onePanic(t, tk.Wait())
 			if x.Load() != 1 {
 				t.Fatal("the panic unwound the parent's continuation: x.Store(1) never ran")
 			}
@@ -271,4 +267,197 @@ func TestPanicInlineChildQuarantined(t *testing.T) {
 			log.empty(t)
 		})
 	}
+}
+
+// awaitFlag spins until another worker sets flag, yielding so the setter
+// gets scheduled even on one CPU. It gives up after 10 s and reports the
+// missing worker as a test failure rather than a hang.
+func awaitFlag(t *testing.T, flag *atomic.Bool) {
+	for deadline := time.Now().Add(10 * time.Second); !flag.Load(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Error("no other worker took the published work within 10 s")
+			return
+		}
+	}
+}
+
+// onePanic asserts that err is a *PanicError carrying exactly one "boom".
+func onePanic(t *testing.T, err error) {
+	t.Helper()
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Wait() = %v, want *PanicError", err)
+	}
+	if len(pe.All) != 1 || pe.Value != "boom" {
+		t.Fatalf("PanicError carries %d panics (first %v), want exactly the one boom", len(pe.All), pe.Value)
+	}
+}
+
+// TestPanicCallDrainsStolenChild: a panic unwinds through a Call whose
+// frame has a child running on another worker. The called frame must be
+// drained on the way out, so that child has finished when Wait returns,
+// and its frame refunded, so the run settles with no live bytes.
+func TestPanicCallDrainsStolenChild(t *testing.T) {
+	rt := New(WithWorkers(2))
+	defer rt.Shutdown()
+	var started, finished atomic.Bool
+	tk := mustSubmit(t, rt, func(c *Context) {
+		c.Call(func(c *Context) {
+			c.Spawn(func(*Context) { // pushed: the deque is empty
+				started.Store(true)
+				time.Sleep(20 * time.Millisecond)
+				finished.Store(true)
+			})
+			awaitFlag(t, &started) // the other worker stole the child
+			panic("boom")
+		})
+	}, WithStats())
+	onePanic(t, tk.Wait())
+	if !finished.Load() {
+		t.Fatal("Wait returned while a child of the panicking Call was still running")
+	}
+	if st := tk.Stats(); st.MemLiveBytes != 0 || st.TasksRun != 1 {
+		t.Fatalf("MemLiveBytes = %d, TasksRun = %d, want 0 and 1", st.MemLiveBytes, st.TasksRun)
+	}
+}
+
+// TestPanicCallDrainsStolenPiece: the owner's chunk of a LoopRange inside a
+// Call — the shape of every pfor loop — panics while a thief runs the
+// loop's other piece. Wait must return only after that piece has ended.
+func TestPanicCallDrainsStolenPiece(t *testing.T) {
+	rt := New(WithWorkers(2))
+	defer rt.Shutdown()
+	var thiefIn, pieceDone atomic.Bool
+	tk := mustSubmit(t, rt, func(c *Context) {
+		c.Call(func(c *Context) {
+			c.LoopRange(0, 2, 1, func(c *Context, lo, hi int) {
+				if lo == 0 { // the owner's chunk; [1, 2) is published meanwhile
+					awaitFlag(t, &thiefIn)
+					panic("boom")
+				}
+				thiefIn.Store(true)
+				time.Sleep(20 * time.Millisecond)
+				pieceDone.Store(true)
+			})
+		})
+	}, WithStats())
+	onePanic(t, tk.Wait())
+	if !pieceDone.Load() {
+		t.Fatal("Wait returned while a stolen piece of the panicking loop was still running")
+	}
+	if st := tk.Stats(); st.MemLiveBytes != 0 {
+		t.Fatalf("MemLiveBytes = %d, want 0", st.MemLiveBytes)
+	}
+}
+
+// TestPanicCallSettlesMemory: a panic unwinding through a Call must not
+// leave the called frame charged to the run, on one worker, on two, and on
+// the serial elision. The callee spawns a child first, so the drain has
+// something to do on the parallel runtimes.
+func TestPanicCallSettlesMemory(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  Option
+	}{
+		{"P=1", WithWorkers(1)},
+		{"P=2", WithWorkers(2)},
+		{"serial", WithSerialElision()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := New(tc.opt)
+			defer rt.Shutdown()
+			tk := mustSubmit(t, rt, func(c *Context) {
+				c.Call(func(c *Context) {
+					c.Spawn(func(*Context) {})
+					panic("boom")
+				})
+			}, WithStats())
+			onePanic(t, tk.Wait())
+			if st := tk.Stats(); st.MemLiveBytes != 0 {
+				t.Fatalf("MemLiveBytes = %d, want 0", st.MemLiveBytes)
+			}
+		})
+	}
+}
+
+// TestPanicHeldChunkJoins: a loop body panics in a chunk the owner's inline
+// peel still holds the range task for (here the loop's only chunk), so no
+// thief will ever release the task's join unit. The peel must release it on
+// the way out, or the drain after the panic — the enclosing frame's, or the
+// Call's — waits for it forever.
+func TestPanicHeldChunkJoins(t *testing.T) {
+	rt := New(WithWorkers(2)) // not shut down on failure: a stuck run would block Shutdown
+	boom := func(c *Context) {
+		c.LoopRange(0, 1, 1, func(*Context, int, int) { panic("boom") })
+	}
+	for _, tc := range []struct {
+		name string
+		fn   func(c *Context)
+	}{
+		{"direct", boom},
+		{"in-call", func(c *Context) { c.Call(boom) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tk := mustSubmit(t, rt, tc.fn, WithStats())
+			select {
+			case <-tk.Done():
+			case <-time.After(10 * time.Second):
+				t.Fatal("the run never finished: the panicking chunk's join unit was not released")
+			}
+			onePanic(t, tk.Wait())
+			if st := tk.Stats(); st.MemLiveBytes != 0 {
+				t.Fatalf("MemLiveBytes = %d, want 0", st.MemLiveBytes)
+			}
+		})
+	}
+	rt.Shutdown()
+}
+
+// TestPanicStolenRangePiece: a loop body panics inside a range piece a
+// thief stole. The steal is deterministic: the owner's first chunk spins
+// until the other worker's chunk — the stolen remainder — sets a flag. The
+// piece is a frame like any child, so the panic is quarantined once, the
+// piece is counted and traced as a task, and the run settles clean.
+func TestPanicStolenRangePiece(t *testing.T) {
+	opts, log := sanOpts(schedsan.Plan{Seed: 1})
+	rt := New(WithWorkers(2), WithTracing(), WithSanitize(opts))
+	defer rt.Shutdown()
+	tr := rt.Tracer()
+	tr.Start()
+	var thiefIn atomic.Bool
+	tk := mustSubmit(t, rt, func(c *Context) {
+		c.LoopRange(0, 2, 1, func(c *Context, lo, hi int) {
+			if lo == 0 {
+				awaitFlag(t, &thiefIn)
+				return
+			}
+			thiefIn.Store(true)
+			panic("boom")
+		})
+	}, WithStats())
+	onePanic(t, tk.Wait())
+	snap := tr.Stop()
+	st := tk.Stats()
+	if st.MemLiveBytes != 0 || st.TasksRun != 1 || st.RangeSteals != 1 {
+		t.Fatalf("MemLiveBytes = %d, TasksRun = %d, RangeSteals = %d, want 0, 1 and 1",
+			st.MemLiveBytes, st.TasksRun, st.RangeSteals)
+	}
+	var starts, ends, panics int
+	for _, events := range snap.Workers {
+		for _, ev := range events {
+			switch ev.Kind {
+			case trace.KindTaskStart:
+				starts++
+			case trace.KindTaskEnd:
+				ends++
+			case trace.KindPanic:
+				panics++
+			}
+		}
+	}
+	// The root and the piece.
+	if starts != 2 || ends != 2 || panics != 1 {
+		t.Fatalf("trace has %d task starts, %d task ends and %d panics, want 2, 2 and 1", starts, ends, panics)
+	}
+	log.empty(t)
 }

@@ -250,9 +250,9 @@ func (rt *Runtime) sanRunQuiescence(rs *runState) {
 // exited leaving tasks in its deque, the injection queue is empty, no root
 // is still active, and no worker is left parked. Together these are the
 // "ShutdownDrain never strands a task" guarantee: a worker may exit only
-// when closed && activeRoots==0 && inject is empty, and any unexecuted task
-// holds its run's join counters above zero, which keeps activeRoots above
-// zero — so a stranded task contradicts the exit condition.
+// when closed && no run is active && inject is empty, and any unexecuted
+// task holds its run's join counters above zero, which keeps its run
+// active — so a stranded task contradicts the exit condition.
 func (rt *Runtime) sanVerifyDrained() {
 	if !rt.sanChecks() {
 		return
@@ -267,7 +267,7 @@ func (rt *Runtime) sanVerifyDrained() {
 		inject += n
 	}
 	rt.mu.Lock()
-	roots, parked := rt.activeRoots, rt.parked.Load()
+	roots, parked := len(rt.active), rt.parked.Load()
 	gauge := rt.injected.Load()
 	rt.mu.Unlock()
 	if inject != 0 {
@@ -299,8 +299,9 @@ func (rt *Runtime) progressCount() int64 {
 // outstandingWork reports whether any computation is still incomplete.
 func (rt *Runtime) outstandingWork() bool {
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.activeRoots > 0 || rt.injected.Load() > 0
+	active := len(rt.active)
+	rt.mu.Unlock()
+	return active > 0 || rt.injected.Load() > 0
 }
 
 // anyWorkerRunning reports whether some worker is executing user code. A
@@ -385,7 +386,7 @@ func (s *sanState) watchdog(rt *Runtime) {
 func (rt *Runtime) dumpState() string {
 	var b strings.Builder
 	rt.mu.Lock()
-	inject, roots, parked := int(rt.injected.Load()), rt.activeRoots, rt.parked.Load()
+	inject, roots, parked := int(rt.injected.Load()), len(rt.active), rt.parked.Load()
 	runs := make([]int64, 0, len(rt.active))
 	for rs := range rt.active {
 		runs = append(runs, rs.id)

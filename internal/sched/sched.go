@@ -158,12 +158,11 @@ type Runtime struct {
 	injected atomic.Int64
 	adm      *admission
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	active      map[*runState]struct{}
-	activeRoots int
-	closed      bool
-	wg          sync.WaitGroup
+	mu     sync.Mutex
+	cond   *sync.Cond
+	active map[*runState]struct{}
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // New creates a runtime and starts its workers. In serial-elision mode no
@@ -644,7 +643,7 @@ func (w *worker) park() bool {
 	w.san.Delay(schedsan.PointPark)
 	rt.mu.Lock()
 	for {
-		if rt.closed && rt.activeRoots == 0 && rt.injected.Load() == 0 {
+		if rt.closed && len(rt.active) == 0 && rt.injected.Load() == 0 {
 			rt.mu.Unlock()
 			if rt.sanChecks() && !w.deque.Empty() {
 				rt.sanViolation("worker %d exiting with %d tasks in its deque", w.id, w.deque.Size())
@@ -683,8 +682,9 @@ func (w *worker) park() bool {
 // runTask executes one task to completion: a popped, stolen or picked-up
 // spawned child (or root) through runFrame, then the frame's views are
 // deposited with its parent and the join signalled (joinChild), or, for a
-// root, the run finished. Tasks of a cancelled run are skipped, not
-// executed — the steal/pickup boundary is a cancel check site.
+// root, the run finished. A range task runs through runPiece instead, whose
+// episode is again a frame run by runFrame. Tasks of a cancelled run are
+// skipped, not executed — the steal/pickup boundary is a cancel check site.
 func (w *worker) runTask(t *task) {
 	if t.loop != nil {
 		w.runPiece(t)
@@ -724,12 +724,13 @@ func (w *worker) runTask(t *task) {
 
 // runFrame runs fn as the body of frame f on w, to completion: the part of
 // a frame's life every spawned child shares however it was scheduled —
-// popped, stolen or picked up as a task (runTask), or run inline at its
-// spawn (spawnInline). It counts the task, runs fn and its implicit sync on
-// a strand that starts with views, and hands the rest to endFrame, which
-// quarantines a panic at the frame, closes the strand's clock, retires the
-// frame and returns the strand's final views, for the caller to deposit
-// with the parent or hand back to it.
+// popped, stolen or picked up as a task (runTask), run inline at its spawn
+// (spawnInline), or an episode of a scheduled loop piece (runPiece). It
+// counts the task, runs fn and its implicit sync on a strand that starts
+// with views, and hands the rest to endFrame, which quarantines a panic at
+// the frame, closes the strand's clock, retires the frame and returns the
+// strand's final views, for the caller to deposit with the parent or hand
+// back to it.
 func (w *worker) runFrame(f *frame, fn func(*Context), views viewMap, cl *runClock) (out viewMap) {
 	rs := f.run
 	root := f.parent == nil
@@ -849,11 +850,7 @@ func (w *worker) joinChild(p *frame) {
 // skipped frame never ran, so it has no children of its own).
 func (w *worker) skipFrame(f *frame) {
 	rs := f.run
-	w.hot.tasksSkipped++
-	if rs.stats != nil {
-		w.acct(rs).c.tasksSkipped++
-	}
-	w.rec.TaskSkip(f.depth, rs.id)
+	w.countSkip(rs, f.depth)
 	// Recycle before signalling the join (or finishing the root) so the
 	// frame's memory refund happens-before the run's done channel closes —
 	// same ordering as runTask's completion path.

@@ -332,30 +332,33 @@ type Stats struct {
 func (rt *Runtime) Stats() Stats {
 	var s Stats
 	for _, w := range rt.workers {
-		s.Spawns += w.ws.spawns.Load()
-		s.Pushed += w.ws.pushes.Load()
+		s.addHot(w.ws.hotCells.load())
 		s.Steals += w.ws.steals.Load()
 		s.StealAttempts += w.ws.stealAttempts.Load()
 		s.StealBatches += w.ws.stealBatches.Load()
 		s.TasksStolenBatched += w.ws.tasksStolenBatched.Load()
 		s.FailedSweeps += w.ws.failedSweeps.Load()
-		s.TasksRun += w.ws.tasksRun.Load()
-		s.TasksSkipped += w.ws.tasksSkipped.Load()
 		s.LoopSplits += w.ws.loopSplits.Load()
-		s.ChunksPeeled += w.ws.chunksPeeled.Load()
 		s.RangeSteals += w.ws.rangeSteals.Load()
 		s.PoolRefills += w.ws.poolRefills.Load()
 		s.PoolSpills += w.ws.poolSpills.Load()
-		if m := w.ws.maxLiveFrames.Load(); m > s.MaxLiveFrames {
-			s.MaxLiveFrames = m
-		}
-		if m := w.ws.maxDepth.Load(); m > s.MaxDepth {
-			s.MaxDepth = m
-		}
 	}
 	s.Stalls = rt.stalls.Load()
 	s.MemLiveBytes = rt.MemLiveBytes()
 	return s
+}
+
+// addHot folds one cell set of the hot counters into s: the counts are
+// summed and the two gauges maxed, across workers (Stats) or across a run's
+// cells (runState.snapshot).
+func (s *Stats) addHot(h hotStats) {
+	s.Spawns += h.spawns
+	s.Pushed += h.pushes
+	s.TasksRun += h.tasksRun
+	s.TasksSkipped += h.tasksSkipped
+	s.ChunksPeeled += h.chunksPeeled
+	s.MaxLiveFrames = max(s.MaxLiveFrames, h.maxLiveFrames)
+	s.MaxDepth = max(s.MaxDepth, h.maxDepth)
 }
 
 // Sub returns the counter deltas s − prev, for snapshot-style accounting

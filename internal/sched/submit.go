@@ -285,7 +285,6 @@ func (rt *Runtime) submit(ctx context.Context, fn func(*Context), sc submitCfg) 
 		}
 		return nil, ErrShutdown
 	}
-	rt.activeRoots++
 	rt.active[rs] = struct{}{}
 	if rt.cfg.serial {
 		// The serial elision has no queue: the caller's goroutine runs the
