@@ -103,13 +103,13 @@ prof-obs:
 	@echo "inspect with: $(GO) tool pprof -top obs_cpu.out"
 	@echo "              $(GO) tool pprof -top -sample_index=alloc_objects obs_mem.out"
 
-# Deque stress: the grow-vs-thieves and batch-steal tests plus the scheduler's
+# Deque stress: the grow-vs-thieves and steal-fault tests plus the scheduler's
 # steal-path and lazy-loop exactly-once tests, the injection-queue tests (DRR
 # and priority order across workers, per-class gauges, QueueLatency read
 # while a worker picks the root up — one queue lock sits between every
 # submitter and every idle worker) — and the fault-injected Gate/San suites
-# (forced claim/CAS failures, stretched claim windows, seeded fault
-# schedules), the lazy-spawn tests (a flat spawn loop's space bound, a panic
+# (forced lost steals, a thief stalled before its CAS while the owner pops
+# the same item, seeded fault schedules), the lazy-spawn tests (a flat spawn loop's space bound, a panic
 # quarantined at an inline child, an inline child's span merged at the sync),
 # the panic-drain tests (a panic unwinding through a Call while a thief runs
 # its child or loop piece, a panic inside a stolen range piece or in a chunk
@@ -117,7 +117,7 @@ prof-obs:
 # chunk-local fold and ForRange partition tests — repeated under the race
 # detector (mirrors the CI job).
 stress-deque:
-	$(GO) test -race -count=5 -run 'StealBatch|GrowRacesThieves|ClearsSlots|UnparkWakeup|HuntPhase|RangeExactlyOnce|Gate|San|Lane|Starved|QueuedByClass|QueueLatency|Serial|FlatSpawnSpace|PanicInlineChild|ObsInlineSpawnSpan|PanicCall|PanicStolenRange|PanicHeldChunk' ./internal/deque/ ./internal/sched/
+	$(GO) test -race -count=5 -run 'StealCounters|StealBatchConcurrentSum|GateStealLostCAS|SanStealFaultsFire|GrowRacesThieves|ClearsSlots|UnparkWakeup|HuntPhase|RangeExactlyOnce|Gate|San|Lane|Starved|QueuedByClass|QueueLatency|Serial|FlatSpawnSpace|PanicInlineChild|ObsInlineSpawnSpan|PanicCall|PanicStolenRange|PanicHeldChunk' ./internal/deque/ ./internal/sched/
 	$(GO) test -race -count=5 -run 'Reduce|ForRange' ./internal/pfor/
 	$(GO) test -race -count=5 -run 'TestAlloc' .
 

@@ -2,42 +2,24 @@
 //
 // The deque is the central data structure of the Cilk++ runtime (§3.2 of the
 // paper): each worker owns one deque and treats it as a stack, pushing and
-// popping spawned work at the bottom, while thieves steal items from the
-// top. The owner's fast path is a handful of unsynchronized-looking atomic
-// loads and stores; synchronization is paid only when the deque is nearly
-// empty or when a thief interferes, which mirrors the paper's observation
-// that "all communication and synchronization is incurred only when a worker
-// runs out of work".
-//
-// Thieves may take either one item (Steal) or up to half of the visible
-// items in a single CAS on top (StealBatch), the steal-half variant whose
-// bounded steal count and cache behaviour are analysed by Gu, Napier & Sun
-// (see PAPERS.md). Every successful pop, steal, and batch clears the ring
-// slots it vacated, so the ring never retains pointers to completed work
+// popping spawned work at the bottom, while thieves steal one item at a time
+// from the top. The owner's fast path is a handful of unsynchronized-looking
+// atomic loads and stores; synchronization is paid only when the deque is
+// nearly empty or when a thief interferes, which mirrors the paper's
+// observation that "all communication and synchronization is incurred only
+// when a worker runs out of work". Every successful pop and steal clears the
+// ring slot it vacated, so the ring never retains pointers to completed work
 // against the garbage collector.
 //
 // The implementation follows Chase and Lev, "Dynamic circular work-stealing
 // deque" (SPAA 2005), with the memory-order fixes from Lê et al. (PPoPP
 // 2013), expressed with Go's sequentially-consistent sync/atomic operations.
-// The batch extension preserves Chase–Lev's arbitration structure: a batch
-// still commits with one CAS on top, and a claim announcement (see the claim
-// field) keeps the owner's unarbitrated fast-path pops disjoint from any
-// in-flight claim.
 package deque
 
-import (
-	"fmt"
-	"runtime"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // minCapacity is the initial ring capacity. It must be a power of two.
 const minCapacity = 64
-
-// maxBatch bounds how many items one StealBatch may claim. A fixed bound
-// keeps the pre-CAS snapshot in a stack array (no allocation on the steal
-// path) and bounds how long a batch claim can make the owner's pop back off.
-const maxBatch = 32
 
 // ring is an immutable-capacity circular buffer. Grown copies share no
 // storage with their predecessor, so thieves racing on an old ring still read
@@ -77,29 +59,16 @@ func (r *ring[T]) grow(bottom, top int64) *ring[T] {
 // GateOp identifies one thief-side protocol step a Gate can perturb.
 type GateOp uint8
 
-const (
-	// GateSteal is Steal's arbitration: a forced failure makes the steal
-	// report a lost race before attempting its CAS.
-	GateSteal GateOp = iota
-	// GateBatchClaim is StealBatch's claim announcement: a forced failure
-	// makes the batch report a contending claim without publishing one.
-	GateBatchClaim
-	// GateBatchCAS is StealBatch's commit CAS on top: a forced failure
-	// releases the published claim and reports a lost race — the window in
-	// which the owner has already seen (and backed off from) the claim.
-	GateBatchCAS
-	// GateBatchWindow is the interval during which a batch holds its claim;
-	// gates typically inject a delay here to stretch the window the owner's
-	// PopBottom must back off through.
-	GateBatchWindow
-)
+// GateSteal is Steal's arbitration. A forced failure makes the steal report
+// a lost race before it reads the top item; a delay stretches the window
+// between that read and the CAS on top, the window in which the owner's
+// last-item pop races the thief.
+const GateSteal GateOp = 0
 
 // Gate is an optional fault-injection seam over the thief-side protocol
 // (internal/schedsan drives it through the scheduler). A nil gate — the
-// default — costs the thief paths one predictable branch; the owner's
-// PushBottom/PopBottom fast paths are not gated at all. When a gate is
-// installed, StealBatch additionally self-checks its claim-word invariants
-// and panics on violation.
+// default — costs Steal one predictable branch; the owner's
+// PushBottom/PopBottom fast paths are not gated at all.
 type Gate interface {
 	// Fail reports whether the step should be forced to fail.
 	Fail(op GateOp) bool
@@ -110,8 +79,8 @@ type Gate interface {
 // Deque is a dynamically-sized work-stealing deque of *T.
 //
 // Exactly one goroutine, the owner, may call PushBottom and PopBottom.
-// Any goroutine may call Steal or StealBatch. The zero value is not usable;
-// construct with New.
+// Any goroutine may call Steal. The zero value is not usable; construct
+// with New.
 type Deque[T any] struct {
 	top    atomic.Int64 // next index to steal
 	bottom atomic.Int64 // next index to push
@@ -120,18 +89,6 @@ type Deque[T any] struct {
 	// gate is the optional fault-injection seam; nil outside sanitizer
 	// runs. Installed once by SetGate before the deque is shared.
 	gate Gate
-
-	// claim announces an in-flight StealBatch: zero when none, else the
-	// exclusive upper bound of the index range the batch may take. Classic
-	// Chase–Lev lets the owner pop unarbitrated whenever top was observed
-	// strictly below bottom, because a thief only ever takes the single
-	// top index — the one index the owner would race for is arbitrated by
-	// dueling CASes on top. A multi-item claim breaks that reasoning: the
-	// owner could pop an interior index the batch is about to commit. The
-	// claim restores disjointness: a batch publishes its bound before its
-	// CAS on top, and the owner's fast path refuses to pop an index below
-	// any visible claim (see PopBottom for the full argument).
-	claim atomic.Int64
 }
 
 // New returns an empty deque.
@@ -171,59 +128,36 @@ func (d *Deque[T]) PushBottom(v *T) bool {
 // nil if the deque is empty or the last item was lost to a concurrent thief.
 // Only the owner may call it.
 func (d *Deque[T]) PopBottom() *T {
-	for {
-		b := d.bottom.Load() - 1
-		r := d.ring.Load()
-		d.bottom.Store(b)
-		t := d.top.Load()
-		switch {
-		case t > b: // empty: restore
-			d.bottom.Store(b + 1)
-			return nil
-		case t == b: // last element: race against thieves via CAS on top
-			v := r.load(b)
-			if d.top.CompareAndSwap(t, t+1) {
-				// Won the race: the slot is dead until bottom wraps back
-				// past it, so clear it now — otherwise the ring would pin
-				// the popped item (and everything it references) against
-				// the GC until the slot is overwritten. Losing thieves
-				// only discard the pointer they loaded, so a plain store
-				// is safe.
-				r.store(b, nil)
-			} else {
-				v = nil // a thief got it; the thief clears the slot
-			}
-			d.bottom.Store(b + 1)
-			return v
-		default:
-			// top was observed strictly below b after bottom excluded b, so
-			// no single Steal can claim index b (a thief observing top == b
-			// necessarily observes bottom <= b and rejects). An in-flight
-			// StealBatch could, though: back off while any visible claim
-			// covers b. The batch holds its claim only across a bounded,
-			// loop-free window, so this resolves quickly.
-			if d.claim.Load() > b {
-				d.bottom.Store(b + 1)
-				runtime.Gosched()
-				continue
-			}
-			// Re-validate top after the claim check: a batch could have
-			// claimed past b, committed its CAS, and released the claim all
-			// between our two loads. Seeing top unchanged after seeing no
-			// claim proves no such batch took b — any batch that covered b
-			// either still holds its claim (caught above) or has already
-			// advanced top (caught here).
-			if d.top.Load() != t {
-				d.bottom.Store(b + 1)
-				continue
-			}
-			v := r.load(b)
-			// Clear before returning: bottom already excludes b and no
-			// thief can take it (argument above), so the store cannot
-			// destroy anyone's item.
+	b := d.bottom.Load() - 1
+	r := d.ring.Load()
+	d.bottom.Store(b)
+	t := d.top.Load()
+	switch {
+	case t > b: // empty: restore
+		d.bottom.Store(b + 1)
+		return nil
+	case t == b: // last element: race against thieves via CAS on top
+		v := r.load(b)
+		if d.top.CompareAndSwap(t, t+1) {
+			// Won the race: the slot is dead until bottom wraps back past
+			// it, so clear it now — otherwise the ring would pin the popped
+			// item (and everything it references) against the GC until the
+			// slot is overwritten. Losing thieves only discard the pointer
+			// they loaded, so a plain store is safe.
 			r.store(b, nil)
-			return v
+		} else {
+			v = nil // a thief got it; the thief clears the slot
 		}
+		d.bottom.Store(b + 1)
+		return v
+	default:
+		// top was observed strictly below b after bottom excluded b, so no
+		// thief can take index b: one observing top == b necessarily
+		// observes bottom <= b and rejects. Clear before returning, for the
+		// same reason as above.
+		v := r.load(b)
+		r.store(b, nil)
+		return v
 	}
 }
 
@@ -235,11 +169,15 @@ func (d *Deque[T]) Steal() *T {
 	if t >= b {
 		return nil
 	}
-	if g := d.gate; g != nil && g.Fail(GateSteal) {
+	g := d.gate
+	if g != nil && g.Fail(GateSteal) {
 		return nil // injected lost race
 	}
 	r := d.ring.Load()
 	v := r.load(t)
+	if g != nil {
+		g.Delay(GateSteal)
+	}
 	if !d.top.CompareAndSwap(t, t+1) {
 		return nil // lost the race; caller may retry elsewhere
 	}
@@ -247,100 +185,32 @@ func (d *Deque[T]) Steal() *T {
 	return v
 }
 
-// StealBatch steals up to half of the victim's visible items — at least one,
-// at most maxBatch — committing the whole batch with a single CAS on top,
-// and returns the oldest claimed item (the one Steal would have returned).
-// The remaining claimed items are pushed onto dst, the thief's own deque,
-// oldest first, so dst continues the victim's top-to-bottom order: the
-// caller's next PopBottom sees the newest claimed item first and other
-// thieves see the oldest, the same discipline a single deque provides.
-// moved reports how many items went to dst.
+// StealBatch steals up to half of the victim's visible items, at least one,
+// and returns the oldest (the one Steal would have returned). The rest are
+// pushed onto dst, the thief's own deque, oldest first, so dst continues the
+// victim's top-to-bottom order: the caller's next PopBottom sees the newest
+// stolen item first and other thieves see the oldest. moved reports how many
+// items went to dst. It is a loop of Steal calls, not one atomic claim: it
+// stops early at the first lost race.
+//
+// The scheduler's thieves take one item (Steal). StealBatch exists only for
+// cilkbench's deque.stealbatch_ns_per_item ladder rung.
 //
 // The caller must own dst, and dst must not be d. Returns (nil, 0) when the
-// deque looked empty, another batch was in flight, or the CAS lost a race;
-// the caller may fall back to Steal.
+// deque looked empty or the first steal lost its race.
 func (d *Deque[T]) StealBatch(dst *Deque[T]) (first *T, moved int) {
-	t := d.top.Load()
-	b := d.bottom.Load()
-	n := b - t
-	if n <= 0 {
+	take := (d.Size() + 1) / 2
+	if first = d.Steal(); first == nil {
 		return nil, 0
 	}
-	take := (n + 1) / 2 // half, rounded up, so a lone item is still taken
-	if take > maxBatch {
-		take = maxBatch
-	}
-	g := d.gate
-	if g != nil && g.Fail(GateBatchClaim) {
-		return nil, 0 // injected claim contention
-	}
-	// Announce the claim before touching anything else. Only one batch may
-	// be in flight per deque; contending batch thieves fall back to Steal.
-	if !d.claim.CompareAndSwap(0, t+take) {
-		return nil, 0
-	}
-	claimed := t + take // the published (never shrunk) claim bound
-	if g != nil {
-		// Sanitizer self-checks: the claim this batch holds must be the one
-		// it published, covering between 1 and maxBatch items above top.
-		if take < 1 || take > maxBatch {
-			panic(fmt.Sprintf("deque: batch claimed %d items (bounds 1..%d)", take, maxBatch))
+	for ; moved < take-1; moved++ {
+		v := d.Steal()
+		if v == nil {
+			break
 		}
-		if c := d.claim.Load(); c != claimed {
-			panic(fmt.Sprintf("deque: claim word %d while batch holds claim %d", c, claimed))
-		}
-		// Stretch the claim-held window: the owner's unarbitrated pops must
-		// keep backing off for as long as the claim is visible.
-		g.Delay(GateBatchWindow)
+		dst.PushBottom(v)
 	}
-	// Re-read bottom after publishing the claim. Any owner pop that did not
-	// see the claim published its lowered bottom before our claim landed
-	// (both sides use sequentially consistent operations), so bounding take
-	// by this fresh value keeps the claimed range strictly below every
-	// unarbitrated pop: a pop at index i admits take ≤ (i-t+1)/2, whose
-	// last claimed index t+take-1 < i. Pops that do see the claim back off
-	// until we resolve.
-	b = d.bottom.Load()
-	n = b - t
-	if n <= 0 {
-		d.claim.Store(0)
-		return nil, 0
-	}
-	if half := (n + 1) / 2; half < take {
-		take = half
-	}
-	// Snapshot the claimed values before the CAS (Lê et al.: once top has
-	// advanced, the owner may overwrite these slots at any time), then
-	// commit the whole range atomically.
-	r := d.ring.Load()
-	var vals [maxBatch]*T
-	for i := int64(0); i < take; i++ {
-		vals[i] = r.load(t + i)
-	}
-	if g != nil {
-		if c := d.claim.Load(); c != claimed {
-			panic(fmt.Sprintf("deque: claim word %d rewritten under in-flight batch (published %d)", c, claimed))
-		}
-		if g.Fail(GateBatchCAS) {
-			d.claim.Store(0)
-			return nil, 0 // injected commit failure after the claim was visible
-		}
-	}
-	if !d.top.CompareAndSwap(t, t+take) {
-		d.claim.Store(0)
-		return nil, 0 // lost to the owner or another thief; snapshot discarded
-	}
-	// Clear the vacated slots before releasing the claim or publishing any
-	// item to dst: nothing may recycle a claimed task until its old slot no
-	// longer aliases it.
-	for i := int64(0); i < take; i++ {
-		r.clear(t+i, vals[i])
-	}
-	d.claim.Store(0)
-	for i := int64(1); i < take; i++ {
-		dst.PushBottom(vals[i])
-	}
-	return vals[0], int(take - 1)
+	return first, moved
 }
 
 // Size reports an instantaneous estimate of the number of items. It is exact

@@ -6,70 +6,56 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // testGate is a deterministic Gate for exercising the forced-failure and
-// delayed-claim paths. Safe for concurrent thieves. A Fail opportunity
-// fails at random with its op's rate, and also when it is the failAt[op]-th
-// opportunity of that op the gate has seen (counted in reached).
+// delayed-steal paths. Safe for concurrent thieves. A Fail opportunity fails
+// at random with rate, and also when it is the failAt-th opportunity the
+// gate has seen (counted in reached). Every Delay opportunity yields the
+// processor sched times.
 type testGate struct {
 	mu      sync.Mutex
 	rng     *rand.Rand
-	rates   map[GateOp]float64
-	failAt  map[GateOp]int64
-	reached map[GateOp]int64
-	delay   time.Duration // applied at GateBatchWindow
-	sched   int           // extra Gosched calls at GateBatchWindow
-	fired   map[GateOp]*atomic.Int64
+	rate    float64
+	failAt  int64
+	reached int64
+	sched   int
+	failed  atomic.Int64 // forced failures
+	delayed atomic.Int64 // Delay calls that yielded
 }
 
 func newTestGate(seed int64) *testGate {
-	g := &testGate{
-		rng:     rand.New(rand.NewSource(seed)),
-		rates:   map[GateOp]float64{},
-		failAt:  map[GateOp]int64{},
-		reached: map[GateOp]int64{},
-		fired:   map[GateOp]*atomic.Int64{},
-	}
-	for _, op := range []GateOp{GateSteal, GateBatchClaim, GateBatchCAS, GateBatchWindow} {
-		g.fired[op] = &atomic.Int64{}
-	}
-	return g
+	return &testGate{rng: rand.New(rand.NewSource(seed))}
 }
 
-func (g *testGate) Fail(op GateOp) bool {
+func (g *testGate) Fail(GateOp) bool {
 	g.mu.Lock()
-	g.reached[op]++
-	hit := g.reached[op] == g.failAt[op] || g.rng.Float64() < g.rates[op]
+	g.reached++
+	hit := g.reached == g.failAt || g.rng.Float64() < g.rate
 	g.mu.Unlock()
 	if hit {
-		g.fired[op].Add(1)
+		g.failed.Add(1)
 	}
 	return hit
 }
 
-func (g *testGate) Delay(op GateOp) {
-	if op != GateBatchWindow {
+func (g *testGate) Delay(GateOp) {
+	if g.sched == 0 {
 		return
 	}
-	if g.delay > 0 {
-		g.fired[op].Add(1)
-		time.Sleep(g.delay)
-	}
+	g.delayed.Add(1)
 	for i := 0; i < g.sched; i++ {
-		g.fired[op].Add(1)
 		runtime.Gosched()
 	}
 }
 
-// TestGateStealBatchForcedCASFailure: a batch whose commit CAS is forced to
-// fail must release its claim and leave the deque intact — the items stay
-// claimable by the owner and by later thieves.
+// TestGateStealBatchForcedCASFailure: steals forced to report a lost race
+// must leave the deque intact — the items stay claimable by the owner and
+// by later thieves.
 func TestGateStealBatchForcedCASFailure(t *testing.T) {
 	d := New[int]()
 	g := newTestGate(1)
-	g.rates[GateBatchCAS] = 1 // every batch commit fails
+	g.rate = 1 // every steal fails
 	d.SetGate(g)
 	vals := make([]int, 16)
 	for i := range vals {
@@ -78,16 +64,16 @@ func TestGateStealBatchForcedCASFailure(t *testing.T) {
 	}
 	dst := New[int]()
 	if first, moved := d.StealBatch(dst); first != nil || moved != 0 {
-		t.Fatalf("StealBatch under forced CAS failure returned (%v, %d), want (nil, 0)", first, moved)
+		t.Fatalf("StealBatch under forced steal failure returned (%v, %d), want (nil, 0)", first, moved)
 	}
-	if g.fired[GateBatchCAS].Load() == 0 {
-		t.Fatal("forced CAS failure never fired")
+	if v := d.Steal(); v != nil {
+		t.Fatalf("Steal under forced failure = %v, want nil", v)
 	}
-	if d.claim.Load() != 0 {
-		t.Fatalf("claim word %d after failed batch, want 0 (released)", d.claim.Load())
+	if g.failed.Load() != 2 {
+		t.Fatalf("forced failure fired %d times, want 2", g.failed.Load())
 	}
-	if d.Size() != len(vals) {
-		t.Fatalf("deque size %d after failed batch, want %d", d.Size(), len(vals))
+	if d.Size() != len(vals) || !dst.Empty() {
+		t.Fatalf("sizes %d/%d after failed steals, want %d/0", d.Size(), dst.Size(), len(vals))
 	}
 	// With the gate cleared, both single steals and batches work again.
 	d.SetGate(nil)
@@ -99,34 +85,61 @@ func TestGateStealBatchForcedCASFailure(t *testing.T) {
 	}
 }
 
-// TestGateStealBatchForcedClaimContention: forced claim contention takes the
-// fall-back path without ever publishing a claim.
-func TestGateStealBatchForcedClaimContention(t *testing.T) {
+// stallGate parks the first thief to reach Steal's delay window until the
+// owner has popped the item that thief read.
+type stallGate struct {
+	reached chan struct{} // closed when a thief is inside the window
+	popped  chan struct{} // closed by the owner after its pop
+	once    sync.Once
+}
+
+func (g *stallGate) Fail(GateOp) bool { return false }
+
+func (g *stallGate) Delay(GateOp) {
+	g.once.Do(func() {
+		close(g.reached)
+		<-g.popped
+	})
+}
+
+// TestGateStealLostCAS forces the owner's last-item pop to win against a
+// thief by construction: the thief reads the only item, then stalls between
+// that read and its CAS on top until the owner has popped the same item.
+// The owner's CAS advances top first, so the thief's CAS must fail and the
+// item is consumed exactly once, by the owner.
+func TestGateStealLostCAS(t *testing.T) {
 	d := New[int]()
-	g := newTestGate(2)
-	g.rates[GateBatchClaim] = 1
+	g := &stallGate{reached: make(chan struct{}), popped: make(chan struct{})}
 	d.SetGate(g)
 	x := 7
 	d.PushBottom(&x)
-	if first, moved := d.StealBatch(New[int]()); first != nil || moved != 0 {
-		t.Fatalf("StealBatch = (%v, %d), want forced (nil, 0)", first, moved)
+	stolen := make(chan *int)
+	go func() { stolen <- d.Steal() }()
+	select {
+	case <-g.reached:
+	case v := <-stolen:
+		t.Fatalf("Steal returned %v without entering its delay window", v)
 	}
-	if d.claim.Load() != 0 {
-		t.Fatal("forced claim contention still published a claim")
+	popped := d.PopBottom()
+	close(g.popped)
+	if popped == nil || *popped != 7 {
+		t.Fatalf("owner's PopBottom = %v, want &7", popped)
 	}
-	if v := d.Steal(); v == nil || *v != 7 {
-		t.Fatalf("fallback Steal = %v, want &7", v)
+	if v := <-stolen; v != nil {
+		t.Fatalf("thief's Steal = %v after the owner popped the same item, want nil", v)
+	}
+	if !d.Empty() || d.Steal() != nil || d.PopBottom() != nil {
+		t.Fatal("deque not empty after the item was consumed")
 	}
 }
 
 // TestGateStealBatchExactlyOnce is the fault-injected exactly-once property
-// for the claim-word protocol, run in make stress-deque under -race: an
-// owner churning push/pop races many batch thieves whose claims randomly
-// fail at the claim, fail at the commit CAS after the claim was visible, or
-// hold the claim through an injected delay — and every item must still be
-// consumed exactly once. A scripted phase first fails one claim and one
-// commit CAS by construction, so both fault kinds fire however the
-// concurrent phase is scheduled.
+// for the thief side, run in make stress-deque under -race: an owner
+// churning push/pop races thieves (StealBatch, falling back to Steal) whose
+// steals randomly report a lost race or stall between reading the top item
+// and the CAS on top — and every item must still be consumed exactly once.
+// A scripted phase first fails one steal by construction, so the fault
+// fires however the concurrent phase is scheduled.
 func TestGateStealBatchExactlyOnce(t *testing.T) {
 	const (
 		thieves  = 4
@@ -148,11 +161,9 @@ func TestGateStealBatchExactlyOnce(t *testing.T) {
 	}
 
 	// Scripted phase: one thief batch-steals a deque nobody else touches, so
-	// every StealBatch reaches the claim gate and every claimed batch the
-	// commit gate. The 2nd claim and the 3rd commit fail; the steals after
-	// them must still consume the items those batches gave back.
-	g.failAt[GateBatchClaim] = 2
-	g.failAt[GateBatchCAS] = 3
+	// every steal reaches the gate. The 2nd steal fails; the steals after it
+	// must still consume the item it gave back.
+	g.failAt = 2
 	for i := 0; i < scripted; i++ {
 		vals[i] = i
 		d.PushBottom(&vals[i])
@@ -165,15 +176,13 @@ func TestGateStealBatchExactlyOnce(t *testing.T) {
 			take(v)
 		}
 	}
-	if c, x := g.fired[GateBatchClaim].Load(), g.fired[GateBatchCAS].Load(); c != 1 || x != 1 {
-		t.Fatalf("scripted phase fired %d claim and %d cas faults, want 1 and 1", c, x)
+	if f := g.failed.Load(); f != 1 {
+		t.Fatalf("scripted phase fired %d steal faults, want 1", f)
 	}
 
 	// Concurrent phase: random faults under an owner racing the thieves.
-	g.rates[GateSteal] = 0.2
-	g.rates[GateBatchClaim] = 0.3
-	g.rates[GateBatchCAS] = 0.3
-	g.sched = 4 // stretch every claim window by a few reschedules
+	g.rate = 0.3
+	g.sched = 4 // stretch every read-to-CAS window by a few reschedules
 
 	var wg sync.WaitGroup
 	done := make(chan struct{})
@@ -218,7 +227,7 @@ func TestGateStealBatchExactlyOnce(t *testing.T) {
 		}
 	}
 	// The thieves drain the remainder; the owner just waits for them so the
-	// batch path stays exercised right to the end.
+	// faulted steal path stays exercised right to the end.
 	for !d.Empty() {
 		runtime.Gosched()
 	}
@@ -233,57 +242,8 @@ func TestGateStealBatchExactlyOnce(t *testing.T) {
 			t.Fatalf("item %d consumed %d times, want exactly once", i, n)
 		}
 	}
-	if g.fired[GateBatchCAS].Load() == 0 || g.fired[GateBatchClaim].Load() == 0 {
-		t.Fatalf("fault gate never fired: %v claim, %v cas",
-			g.fired[GateBatchClaim].Load(), g.fired[GateBatchCAS].Load())
-	}
-}
-
-// TestGateClaimWindowBackoff: while a batch holds its claim through an
-// injected delay, the owner's PopBottom must back off rather than pop a
-// claimed item; once the batch commits, owner and thief hold disjoint
-// items.
-func TestGateClaimWindowBackoff(t *testing.T) {
-	for trial := 0; trial < 50; trial++ {
-		d := New[int]()
-		g := newTestGate(int64(trial))
-		g.delay = 50 * time.Microsecond
-		d.SetGate(g)
-		const n = 10
-		vals := make([]int, n)
-		for i := range vals {
-			vals[i] = i
-			d.PushBottom(&vals[i])
-		}
-		var got [n]atomic.Int32
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { // thief: one delayed batch
-			defer wg.Done()
-			dst := New[int]()
-			if first, _ := d.StealBatch(dst); first != nil {
-				got[*first].Add(1)
-				for v := dst.PopBottom(); v != nil; v = dst.PopBottom() {
-					got[*v].Add(1)
-				}
-			}
-		}()
-		go func() { // owner: drain from the bottom through the claim window
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				if v := d.PopBottom(); v != nil {
-					got[*v].Add(1)
-				}
-			}
-		}()
-		wg.Wait()
-		for v := d.PopBottom(); v != nil; v = d.PopBottom() {
-			got[*v].Add(1)
-		}
-		for i := range got {
-			if c := got[i].Load(); c > 1 {
-				t.Fatalf("trial %d: item %d consumed %d times", trial, i, c)
-			}
-		}
+	if g.failed.Load() < 2 || g.delayed.Load() == 0 {
+		t.Fatalf("fault gate never fired in the concurrent phase: %d failures, %d delays",
+			g.failed.Load(), g.delayed.Load())
 	}
 }

@@ -22,8 +22,6 @@ var promCounters = map[string]bool{
 	"spawns":                   true,
 	"steals":                   true,
 	"steal_attempts":           true,
-	"steal_batches":            true,
-	"tasks_stolen_batched":     true,
 	"failed_sweeps":            true,
 	"tasks_run":                true,
 	"tasks_skipped":            true,

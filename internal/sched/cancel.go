@@ -183,7 +183,7 @@ func (rt *Runtime) ShutdownDrain(drain time.Duration) bool {
 	// the injection queue is empty, and an unexecuted task keeps its run's
 	// join counters above zero — which keeps the run active — so after
 	// wg.Wait every deque and the injection queue must be empty even when
-	// the drain deadline forced cancellation mid-batch-steal.
+	// the drain deadline forced cancellation mid-steal.
 	rt.sanVerifyDrained()
 	return drained
 }

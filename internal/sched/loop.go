@@ -23,10 +23,11 @@ import "cilkgo/internal/schedsan"
 //
 //   - A thief that steals a range task splits it: it keeps the front half
 //     and pushes the back half onto its own deque as a new range task —
-//     steal-half semantics for iterations, mirroring the deque's StealBatch
-//     for tasks. Both halves remain splittable by further thieves, so the
-//     split tree unfolds exactly as deep as the thieves demand:
-//     O(P · log(n/grain)) pieces instead of Θ(n/grain) tasks.
+//     steal-half semantics for iterations (Gu, Napier & Sun, PAPERS.md),
+//     while tasks are stolen one at a time. Both halves remain splittable
+//     by further thieves, so the split tree unfolds exactly as deep as the
+//     thieves demand: O(P · log(n/grain)) pieces instead of Θ(n/grain)
+//     tasks.
 //
 //   - A scheduled piece — a range task popped from a deque or stolen — is a
 //     spawned child of the loop frame, as in the paper's recursion: each of

@@ -206,12 +206,11 @@ func TestZeroWorkRun(t *testing.T) {
 // sanitizer's quiescence check at Wait verifies.
 //
 // The root first pushes a no-op child, so the deque is non-empty at the
-// next spawn. Thief-side steal faults at rate 1 keep the second worker from
-// taking it, which would empty the deque and make the next spawn push.
+// next spawn. A steal fault at rate 1 keeps the second worker from taking
+// it, which would empty the deque and make the next spawn push.
 func TestPanicInlineChildQuarantined(t *testing.T) {
 	noSteals := []schedsan.Rule{
 		{Point: schedsan.PointSteal, Mode: schedsan.ModeFail, Rate: 1},
-		{Point: schedsan.PointBatchClaim, Mode: schedsan.ModeFail, Rate: 1},
 	}
 	cases := []struct {
 		name string

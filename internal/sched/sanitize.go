@@ -106,15 +106,9 @@ func (s *sanState) shut() {
 // dequeGate adapts a schedsan lane to the deque's Gate seam.
 type dequeGate struct{ lane *schedsan.Lane }
 
-var gatePoints = [...]schedsan.Point{
-	deque.GateSteal:       schedsan.PointSteal,
-	deque.GateBatchClaim:  schedsan.PointBatchClaim,
-	deque.GateBatchCAS:    schedsan.PointBatchCAS,
-	deque.GateBatchWindow: schedsan.PointBatchWindow,
-}
-
-func (g dequeGate) Fail(op deque.GateOp) bool { return g.lane.Fail(gatePoints[op]) }
-func (g dequeGate) Delay(op deque.GateOp)     { g.lane.Delay(gatePoints[op]) }
+// GateSteal is the deque's only gated step, so it maps to PointSteal.
+func (g dequeGate) Fail(deque.GateOp) bool { return g.lane.Fail(schedsan.PointSteal) }
+func (g dequeGate) Delay(deque.GateOp)     { g.lane.Delay(schedsan.PointSteal) }
 
 // wakeFault applies the PointWake rules to one producer wakeup: report true
 // to swallow it (drop), stretch it (delay), or deliver one extra signal

@@ -60,18 +60,16 @@ func (l *violationLog) empty(t *testing.T) {
 	}
 }
 
-// TestSanStealBatchExactlyOnce drives fib's spawn tree through a fault plan
-// that hammers the StealBatch claim protocol — forced claim contention,
-// forced commit-CAS failures after the claim was visible, stretched claim
-// windows — with the invariant checker armed. Every spawned task must still
-// run exactly once (fib's value is wrong otherwise) and no join counter may
-// go negative. Part of the stress-deque CI gate.
-func TestSanStealBatchExactlyOnce(t *testing.T) {
+// TestSanStealExactlyOnce drives fib's spawn tree through a fault plan that
+// hammers the steal protocol — forced lost races, and stretched windows
+// between a thief's read of the top item and its CAS on top, where the
+// owner's last-item pop races it — with the invariant checker armed. Every
+// spawned task must still run exactly once (fib's value is wrong otherwise)
+// and no join counter may go negative. Part of the stress-deque CI gate.
+func TestSanStealExactlyOnce(t *testing.T) {
 	plan := schedsan.Plan{Seed: 101, Rules: []schedsan.Rule{
-		{Point: schedsan.PointBatchClaim, Mode: schedsan.ModeFail, Rate: 0.4},
-		{Point: schedsan.PointBatchCAS, Mode: schedsan.ModeFail, Rate: 0.4},
-		{Point: schedsan.PointBatchWindow, Mode: schedsan.ModeDelay, Rate: 0.5, Delay: 5 * time.Microsecond},
-		{Point: schedsan.PointSteal, Mode: schedsan.ModeFail, Rate: 0.2},
+		{Point: schedsan.PointSteal, Mode: schedsan.ModeFail, Rate: 0.4},
+		{Point: schedsan.PointSteal, Mode: schedsan.ModeDelay, Rate: 0.5, Delay: 5 * time.Microsecond},
 	}}
 	opts, log := sanOpts(plan)
 	rt := New(WithWorkers(8), WithSanitize(opts))
@@ -94,6 +92,54 @@ func TestSanStealBatchExactlyOnce(t *testing.T) {
 	log.empty(t)
 	if rt.Sanitizer().TotalFired() == 0 {
 		t.Fatal("fault plan never fired — the protocol was not exercised")
+	}
+}
+
+// TestSanStealFaultsFire: each steal fault in the menu reaches the deque's
+// steal protocol. The root pushes two children one at a time onto an empty
+// deque and waits for the other worker to steal and run each, so that
+// worker's steal probes are the only ones that find work. steal/fail at
+// Every: 2 fails its second such probe by construction; steal/delay at rate
+// 1 stretches every steal that finds work. Each plan holds one rule, so
+// san_faults_injected counts that rule's faults.
+func TestSanStealFaultsFire(t *testing.T) {
+	for _, rule := range []schedsan.Rule{
+		{Point: schedsan.PointSteal, Mode: schedsan.ModeFail, Every: 2},
+		{Point: schedsan.PointSteal, Mode: schedsan.ModeDelay, Rate: 1},
+	} {
+		t.Run(rule.Mode.String(), func(t *testing.T) {
+			opts, log := sanOpts(schedsan.Plan{Seed: 1, Rules: []schedsan.Rule{rule}})
+			rt := New(WithWorkers(2), WithSanitize(opts))
+			defer rt.Shutdown()
+			var ran [2]atomic.Int32
+			var done [2]atomic.Bool
+			tk := mustSubmit(t, rt, func(c *Context) {
+				for i := range ran {
+					c.Spawn(func(*Context) { // pushed: the deque is empty
+						ran[i].Add(1)
+						done[i].Store(true)
+					})
+					awaitFlag(t, &done[i])
+				}
+				c.Sync()
+			}, WithStats())
+			st, err := tk.Stats(), tk.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range ran {
+				if n := ran[i].Load(); n != 1 {
+					t.Errorf("child %d ran %d times, want exactly once", i, n)
+				}
+			}
+			if st.Steals != 2 || st.TasksRun != 2 {
+				t.Errorf("steals = %d, tasks run = %d; want both children stolen and run", st.Steals, st.TasksRun)
+			}
+			if n := rt.Metrics()["san_faults_injected"]; n < 1 {
+				t.Errorf("%s injected %d faults, want at least 1", rule, n)
+			}
+			log.empty(t)
+		})
 	}
 }
 
@@ -306,23 +352,23 @@ func TestSanWatchdogQuietOnHealthyRuns(t *testing.T) {
 	}
 }
 
-// TestSanDrainUnderBatchSteal is the ShutdownDrain-vs-StealBatch satellite:
-// a bounded drain forced to cancel mid-flight, while batch steals shuttle
-// tasks between deques under injected claim faults, must never strand a
-// task — the post-drain assertions (all deques empty, injection queue
-// empty, no active roots, no parked workers) are checked by
-// sanVerifyDrained inside ShutdownDrain itself.
-func TestSanDrainUnderBatchSteal(t *testing.T) {
+// TestSanDrainUnderStealFaults is the ShutdownDrain-vs-steal satellite: a
+// bounded drain forced to cancel mid-flight, while thieves take forcibly
+// pushed tasks under injected steal faults, must never strand a task — the
+// post-drain assertions (all deques empty, injection queue empty, no
+// active roots, no parked workers) are checked by sanVerifyDrained inside
+// ShutdownDrain itself.
+func TestSanDrainUnderStealFaults(t *testing.T) {
 	plan := schedsan.Plan{Seed: 404, Rules: []schedsan.Rule{
-		{Point: schedsan.PointBatchClaim, Mode: schedsan.ModeFail, Rate: 0.3},
-		{Point: schedsan.PointBatchCAS, Mode: schedsan.ModeFail, Rate: 0.3},
-		{Point: schedsan.PointBatchWindow, Mode: schedsan.ModeDelay, Rate: 0.5, Delay: 10 * time.Microsecond},
+		{Point: schedsan.PointSteal, Mode: schedsan.ModeFail, Rate: 0.3},
+		{Point: schedsan.PointSteal, Mode: schedsan.ModeDelay, Rate: 0.5, Delay: 10 * time.Microsecond},
+		{Point: schedsan.PointPush, Mode: schedsan.ModeFail, Rate: 1},
 	}}
 	opts, log := sanOpts(plan)
 	rt := New(WithWorkers(8), WithSanitize(opts))
 
 	// A wide, slow spawn tree: plenty of in-flight tasks for the drain to
-	// cancel and for batch steals to be shuttling when the deadline hits.
+	// cancel and for steals to be in flight when the deadline hits.
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	for i := range errs {

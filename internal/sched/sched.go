@@ -141,7 +141,7 @@ type Runtime struct {
 	obsH     *obsHist
 
 	// parked counts workers blocked on cond in the park phase of their
-	// hunt. Producers (Spawn pushes, batch-steal extras) read it to decide
+	// hunt. Producers (Spawn pushes, range splits) read it to decide
 	// whether a wakeup is needed; with no one parked, publishing work costs
 	// one atomic load here and nothing else.
 	parked atomic.Int32
@@ -528,20 +528,15 @@ func (w *worker) stealOnce() *task {
 	return nil
 }
 
-// stealFrom probes one victim: a batch steal first — up to half the victim's
-// visible tasks in one CAS, extras landing in this worker's own deque —
-// falling back to a single steal when the batch found the deque empty,
-// another batch in flight, or lost its race. Exactly one StealSuccess is
-// recorded per successful operation, batched or not, so trace event counts
-// and the Steals counter agree.
+// stealFrom probes one victim: one steal from the top of its deque (§3.2).
+// Exactly one StealSuccess is recorded per successful steal, so trace event
+// counts and the Steals counter agree.
 func (w *worker) stealFrom(victim *worker) *task {
 	bump(&w.ws.stealAttempts)
 	w.rec.StealAttempt(int32(victim.id))
-	t, moved := victim.deque.StealBatch(w.deque)
+	t := victim.deque.Steal()
 	if t == nil {
-		if t = victim.deque.Steal(); t == nil {
-			return nil
-		}
+		return nil
 	}
 	bump(&w.ws.steals)
 	if h := w.rt.obsH; h != nil && w.hunting {
@@ -558,14 +553,6 @@ func (w *worker) stealFrom(victim *worker) *task {
 		bump(&s.cells[w.id].steals)
 	}
 	w.rec.StealSuccess(int32(victim.id))
-	if moved > 0 {
-		bump(&w.ws.stealBatches)
-		bumpN(&w.ws.tasksStolenBatched, int64(moved))
-		w.rec.StealBatch(int32(moved))
-		// The extras are stealable work sitting in our deque now; offer a
-		// parked worker the chance to come share it.
-		w.rt.wake()
-	}
 	if t.loop != nil {
 		// A stolen range task splits immediately (see loop.go): the thief
 		// keeps the front half and re-publishes the back half, so further
@@ -581,8 +568,7 @@ const (
 )
 
 // wake rouses one parked worker. Producers call it after making stealable
-// work visible outside the injection queue (a Spawn push, batch-steal
-// extras). The fast path is one atomic load; the mutex is taken only when
+// work visible outside the injection queue (a Spawn push, a range split). The fast path is one atomic load; the mutex is taken only when
 // someone is actually parked, and pairs with the parker's under-lock re-check
 // so the signal cannot fall between a parker's last look for work and its
 // wait.
@@ -827,8 +813,8 @@ func (w *worker) bindContext(f *frame) *Context {
 // (children are stolen, continuations never), so p.ctx.w == w means p's
 // strand is further up this goroutine's own stack, waiting in a sync or
 // still to reach one: the join is a plain increment that strand will read
-// in program order. Any other child — stolen, a batch-steal extra, picked up
-// by an idle worker — pays for the sharing here: it publishes the worker's
+// in program order. Any other child — stolen, or picked up by an idle
+// worker — pays for the sharing here: it publishes the worker's
 // counts, so that they are visible to whoever observes the join, and
 // decrements the atomic join word.
 func (w *worker) joinChild(p *frame) {

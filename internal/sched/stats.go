@@ -13,15 +13,13 @@ import (
 // ever written by publish.
 type workerStats struct {
 	hotCells
-	steals             atomic.Int64
-	stealAttempts      atomic.Int64
-	stealBatches       atomic.Int64
-	tasksStolenBatched atomic.Int64
-	failedSweeps       atomic.Int64
-	loopSplits         atomic.Int64
-	rangeSteals        atomic.Int64
-	poolRefills        atomic.Int64
-	poolSpills         atomic.Int64
+	steals        atomic.Int64
+	stealAttempts atomic.Int64
+	failedSweeps  atomic.Int64
+	loopSplits    atomic.Int64
+	rangeSteals   atomic.Int64
+	poolRefills   atomic.Int64
+	poolSpills    atomic.Int64
 	// offStrandJoins counts children this worker completed off their
 	// parent's strand (see joinChild) — the joins that pay for an atomic.
 	// Not part of Stats; tests read it to show un-stolen spawns pay nothing.
@@ -249,16 +247,6 @@ type Stats struct {
 	// parallelism exceeds the worker count.
 	Steals        int64
 	StealAttempts int64
-	// StealBatches counts successful batch steals — StealBatch operations
-	// that moved at least one extra task into the thief's deque beyond the
-	// task it kept to run. TasksStolenBatched is the total number of those
-	// extra tasks. Steals counts every successful steal operation, batched
-	// or not, so TasksStolenBatched/StealBatches is the mean surplus per
-	// batch and Steals+TasksStolenBatched is the total number of tasks that
-	// migrated between workers. Both are zero in per-run results: batching
-	// is a property of the worker's hunt, not of one computation.
-	StealBatches       int64
-	TasksStolenBatched int64
 	// FailedSweeps counts steal sweeps that probed every other worker and
 	// found nothing — the consecutive-failure signal that escalates a
 	// worker's hunt from spinning through yielding to parking. Also zero in
@@ -335,8 +323,6 @@ func (rt *Runtime) Stats() Stats {
 		s.addHot(w.ws.hotCells.load())
 		s.Steals += w.ws.steals.Load()
 		s.StealAttempts += w.ws.stealAttempts.Load()
-		s.StealBatches += w.ws.stealBatches.Load()
-		s.TasksStolenBatched += w.ws.tasksStolenBatched.Load()
 		s.FailedSweeps += w.ws.failedSweeps.Load()
 		s.LoopSplits += w.ws.loopSplits.Load()
 		s.RangeSteals += w.ws.rangeSteals.Load()
@@ -370,8 +356,6 @@ func (s Stats) Sub(prev Stats) Stats {
 	s.Pushed -= prev.Pushed
 	s.Steals -= prev.Steals
 	s.StealAttempts -= prev.StealAttempts
-	s.StealBatches -= prev.StealBatches
-	s.TasksStolenBatched -= prev.TasksStolenBatched
 	s.FailedSweeps -= prev.FailedSweeps
 	s.TasksRun -= prev.TasksRun
 	s.TasksSkipped -= prev.TasksSkipped
@@ -396,19 +380,17 @@ func (s Stats) Sub(prev Stats) Stats {
 func (rt *Runtime) Metrics() map[string]int64 {
 	s := rt.Stats()
 	m := map[string]int64{
-		"workers":              int64(rt.cfg.workers),
-		"spawns":               s.Spawns,
-		"pushes":               s.Pushed,
-		"steals":               s.Steals,
-		"steal_attempts":       s.StealAttempts,
-		"steal_batches":        s.StealBatches,
-		"tasks_stolen_batched": s.TasksStolenBatched,
-		"failed_sweeps":        s.FailedSweeps,
-		"tasks_run":            s.TasksRun,
-		"tasks_skipped":        s.TasksSkipped,
-		"loop_splits":          s.LoopSplits,
-		"chunks_peeled":        s.ChunksPeeled,
-		"range_steals":         s.RangeSteals,
+		"workers":        int64(rt.cfg.workers),
+		"spawns":         s.Spawns,
+		"pushes":         s.Pushed,
+		"steals":         s.Steals,
+		"steal_attempts": s.StealAttempts,
+		"failed_sweeps":  s.FailedSweeps,
+		"tasks_run":      s.TasksRun,
+		"tasks_skipped":  s.TasksSkipped,
+		"loop_splits":    s.LoopSplits,
+		"chunks_peeled":  s.ChunksPeeled,
+		"range_steals":   s.RangeSteals,
 		// Frame-recycler traffic (frame.go): batches spilled to / refilled
 		// from the global backstop by the per-worker freelists.
 		"pool_refills":    s.PoolRefills,
@@ -457,7 +439,6 @@ func (rt *Runtime) Metrics() map[string]int64 {
 		m[p+"spawns"] = w.ws.spawns.Load()
 		m[p+"steals"] = w.ws.steals.Load()
 		m[p+"steal_attempts"] = w.ws.stealAttempts.Load()
-		m[p+"steal_batches"] = w.ws.stealBatches.Load()
 		m[p+"failed_sweeps"] = w.ws.failedSweeps.Load()
 		m[p+"tasks_run"] = w.ws.tasksRun.Load()
 		m[p+"max_live_frames"] = w.ws.maxLiveFrames.Load()

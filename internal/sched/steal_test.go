@@ -58,20 +58,25 @@ func TestUnparkWakeupLatency(t *testing.T) {
 	}
 }
 
-// TestStealBatchCounters checks that wide computations trigger batch steals
-// and that the new counters obey their invariants: every batch is also a
-// steal, batched tasks come only from batches, and the per-worker sums match
-// the aggregate.
-func TestStealBatchCounters(t *testing.T) {
+// TestStealCounters checks that wide computations under injected steal
+// faults trigger steals and that the steal counters obey their invariants:
+// every steal is also an attempt, every injected steal failure is an
+// attempt that stole nothing, and Metrics agrees with Stats.
+func TestStealCounters(t *testing.T) {
 	// Every spawn pushes (PointPush forced at rate 1): lazy spawns would run
 	// most of the leaves inline and never build the long deque this test
-	// needs — it tests the batch counters, not the push policy.
-	rt := New(WithWorkers(4), WithNoThreadLocking(), forcePushes())
+	// needs — it tests the steal counters, not the push policy. Every
+	// second steal that finds work is forced to report a lost race.
+	stealFault := schedsan.Rule{Point: schedsan.PointSteal, Mode: schedsan.ModeFail, Every: 2}
+	rt := New(WithWorkers(4), WithNoThreadLocking(), WithSanitize(schedsan.Options{Plan: schedsan.Plan{Seed: 1, Rules: []schedsan.Rule{
+		{Point: schedsan.PointPush, Mode: schedsan.ModeFail, Rate: 1},
+		stealFault,
+	}}}))
 	defer rt.Shutdown()
 
 	// A wide, flat spawn: the root pushes many leaves before they drain, so
-	// a thief's first probe finds a long deque and takes a batch. Retry a few
-	// times — scheduling on a loaded machine may drain the deque serially.
+	// a thief's probes find a long deque. Retry a few times — scheduling on
+	// a loaded machine may drain the deque serially.
 	for try := 0; try < 20; try++ {
 		err := mustSubmit(t, rt, func(c *Context) {
 			for i := 0; i < 256; i++ {
@@ -90,47 +95,51 @@ func TestStealBatchCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rt.Stats().StealBatches > 0 {
+		if rt.Stats().Steals > 0 {
 			break
 		}
 	}
 
 	s := rt.Stats()
-	if s.StealBatches == 0 {
-		t.Fatal("no batch steal occurred across 20 wide runs")
+	m := rt.Metrics()
+	if s.Steals == 0 {
+		t.Fatal("no steal occurred across 20 wide runs")
 	}
-	if s.TasksStolenBatched < s.StealBatches {
-		t.Fatalf("TasksStolenBatched = %d < StealBatches = %d; every batch moves at least one extra task",
-			s.TasksStolenBatched, s.StealBatches)
+	faults := rt.Sanitizer().Counts()[stealFault.String()]
+	t.Logf("%d steals, %d attempts, %d injected steal failures", s.Steals, s.StealAttempts, faults)
+	if s.StealAttempts-s.Steals < faults {
+		t.Fatalf("StealAttempts − Steals = %d < %d injected steal failures; every injected failure is an attempt that stole nothing",
+			s.StealAttempts-s.Steals, faults)
 	}
-	if s.Steals < s.StealBatches {
-		t.Fatalf("Steals = %d < StealBatches = %d; every batch is also a successful steal",
-			s.Steals, s.StealBatches)
+	if s.StealAttempts < s.Steals {
+		t.Fatalf("StealAttempts = %d < Steals = %d; every steal is also an attempt",
+			s.StealAttempts, s.Steals)
 	}
 	if s.TasksRun != s.Spawns {
-		t.Fatalf("TasksRun = %d, Spawns = %d; batching must not lose or duplicate tasks", s.TasksRun, s.Spawns)
+		t.Fatalf("TasksRun = %d, Spawns = %d; stealing must not lose or duplicate tasks", s.TasksRun, s.Spawns)
 	}
 	if s.Pushed != s.Spawns {
 		t.Fatalf("Pushed = %d, Spawns = %d; a forced push at rate 1 pushes every child", s.Pushed, s.Spawns)
 	}
 
-	m := rt.Metrics()
-	for _, key := range []string{"steal_batches", "tasks_stolen_batched", "failed_sweeps"} {
+	for _, key := range []string{"steals", "steal_attempts", "failed_sweeps"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("Metrics missing %q", key)
 		}
 	}
-	if m["steal_batches"] != s.StealBatches || m["tasks_stolen_batched"] != s.TasksStolenBatched {
-		t.Fatalf("Metrics batch counters %d/%d disagree with Stats %d/%d",
-			m["steal_batches"], m["tasks_stolen_batched"], s.StealBatches, s.TasksStolenBatched)
+	// Idle workers keep probing after the runs end, so only the steal count
+	// is settled; Metrics, read after Stats, sees at least its attempts.
+	if m["steals"] != s.Steals || m["steal_attempts"] < s.StealAttempts {
+		t.Fatalf("Metrics steal counters %d/%d disagree with Stats %d/%d",
+			m["steals"], m["steal_attempts"], s.Steals, s.StealAttempts)
 	}
 }
 
 // TestHuntPhaseTrace checks the trace surface of the new hunt: a starved
 // worker escalates spin → yield (KindHuntYield) and eventually parks while
-// the run is still active, and every KindStealBatch event immediately
-// follows the KindStealSuccess of the same operation with a positive moved
-// count that sums to the TasksStolenBatched counter.
+// the run is still active, and every KindStealSuccess event immediately
+// follows the KindStealAttempt on the same victim, with as many successes
+// as the Steals counter.
 func TestHuntPhaseTrace(t *testing.T) {
 	rt := New(WithWorkers(4), WithNoThreadLocking(), WithTracing())
 	defer rt.Shutdown()
@@ -141,7 +150,7 @@ func TestHuntPhaseTrace(t *testing.T) {
 	if err := mustSubmit(t, rt, func(*Context) { time.Sleep(time.Millisecond) }).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	// Phase 2: a wide run so the trace also carries batch events.
+	// Phase 2: a wide run so the trace also carries steal events.
 	for try := 0; try < 20; try++ {
 		err := mustSubmit(t, rt, func(c *Context) {
 			for i := 0; i < 256; i++ {
@@ -160,27 +169,23 @@ func TestHuntPhaseTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rt.Stats().Sub(before).StealBatches > 0 {
+		if rt.Stats().Sub(before).Steals > 0 {
 			break
 		}
 	}
 	tr := rt.Tracer().Stop()
 	delta := rt.Stats().Sub(before)
 
-	var yields, batches, batchedTasks int64
+	var yields, steals int64
 	for _, events := range tr.Workers {
 		for i, ev := range events {
 			switch ev.Kind {
 			case trace.KindHuntYield:
 				yields++
-			case trace.KindStealBatch:
-				batches++
-				batchedTasks += int64(ev.Arg)
-				if ev.Arg < 1 {
-					t.Errorf("steal-batch event with moved = %d, want >= 1", ev.Arg)
-				}
-				if i == 0 || events[i-1].Kind != trace.KindStealSuccess {
-					t.Error("steal-batch event not immediately preceded by its steal-success")
+			case trace.KindStealSuccess:
+				steals++
+				if i > 0 && (events[i-1].Kind != trace.KindStealAttempt || events[i-1].Arg != ev.Arg) {
+					t.Error("steal-success event not immediately preceded by its steal-attempt on the same victim")
 				}
 			}
 		}
@@ -188,9 +193,9 @@ func TestHuntPhaseTrace(t *testing.T) {
 	if yields == 0 {
 		t.Error("no hunt-yield event recorded while three workers starved for a millisecond")
 	}
-	if batches != delta.StealBatches || batchedTasks != delta.TasksStolenBatched {
-		t.Errorf("trace records %d batches / %d batched tasks, Stats says %d / %d",
-			batches, batchedTasks, delta.StealBatches, delta.TasksStolenBatched)
+	if steals != delta.Steals || steals == 0 {
+		t.Errorf("trace records %d steals, Stats says %d (want equal and nonzero; %d events dropped)",
+			steals, delta.Steals, tr.TotalDropped())
 	}
 	if delta.FailedSweeps == 0 {
 		t.Error("FailedSweeps = 0 after a starving run; hunting workers must count failed sweeps")

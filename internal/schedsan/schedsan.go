@@ -2,13 +2,14 @@
 // injection, runtime invariant checking, and stall watchdog support for the
 // work-stealing runtime in internal/sched.
 //
-// The scheduler's hot paths — steal-half claim words, pointer-identity
-// range-task reclaim, the park/wake producer fast path — are exactly the
-// class of lock-free protocol that is only trustworthy under *controlled
-// adversarial schedules*, not ordinary -race runs (see C11Tester and the
-// Work Stealing Simulator papers in PAPERS.md): the rare interleavings that
-// break such protocols occur once in millions of ordinary executions. This
-// package makes those interleavings cheap to force and reproduce:
+// The scheduler's hot paths — the steal/pop race on a deque's last item,
+// pointer-identity range-task reclaim, the park/wake producer fast path —
+// are exactly the class of lock-free protocol that is only trustworthy
+// under *controlled adversarial schedules*, not ordinary -race runs (see
+// C11Tester and the Work Stealing Simulator papers in PAPERS.md): the rare
+// interleavings that break such protocols occur once in millions of
+// ordinary executions. This package makes those interleavings cheap to
+// force and reproduce:
 //
 //   - A Plan is a seeded fault script: a small set of Rules, each attaching
 //     a failure mode (forced failure, injected delay, dropped or duplicated
@@ -42,27 +43,17 @@ import (
 
 // Point identifies one protocol decision point in the scheduler where a
 // fault can be injected. The set mirrors the places the runtime makes a
-// lock-free protocol decision: steal probes, batch-claim arbitration,
-// park/wake, lazy-loop chunk peeling and range splitting, reducer view
-// folds, object-pool recycling, and the lazy spawn's push-or-inline choice.
+// lock-free protocol decision: steal probes, park/wake, lazy-loop chunk
+// peeling and range splitting, reducer view folds, object-pool recycling,
+// and the lazy spawn's push-or-inline choice.
 type Point uint8
 
 const (
-	// PointSteal is a thief's single-item Steal: a forced failure makes the
-	// steal report a lost race before its CAS.
+	// PointSteal is a thief's Steal: a forced failure makes the steal
+	// report a lost race before it reads the top item; a delay stretches
+	// the window between that read and the CAS on top, in which the owner's
+	// last-item pop races the thief.
 	PointSteal Point = iota
-	// PointBatchClaim is StealBatch's claim-word announcement: a forced
-	// failure makes the batch report a contending claim, taking the
-	// fall-back-to-Steal path.
-	PointBatchClaim
-	// PointBatchCAS is StealBatch's commit CAS on top: a forced failure
-	// makes the batch release its claim and report a lost race after the
-	// claim was visible to the owner.
-	PointBatchCAS
-	// PointBatchWindow is the interval during which a batch holds its claim:
-	// a delay stretches the window in which the owner's PopBottom must back
-	// off, and in which the claim/top state must stay coherent.
-	PointBatchWindow
 	// PointWake is a producer's wakeup of parked workers after publishing
 	// stealable work: faults drop it, duplicate it, or delay it — the exact
 	// perturbations a lost-wakeup bug is sensitive to.
@@ -110,7 +101,7 @@ const (
 )
 
 var pointNames = [NumPoints]string{
-	"steal", "batch-claim", "batch-cas", "batch-window", "wake", "park",
+	"steal", "wake", "park",
 	"chunk-peel", "range-split", "view-fold", "recycle",
 	"inject-wake", "mem-charge", "push",
 }
@@ -198,15 +189,6 @@ var ruleMenu = []func(rng *rand.Rand) Rule{
 	func(r *rand.Rand) Rule {
 		return Rule{Point: PointSteal, Mode: ModeDelay, Rate: 0.05 + 0.25*r.Float64(), Delay: time.Duration(r.Intn(50)) * time.Microsecond}
 	},
-	func(r *rand.Rand) Rule {
-		return Rule{Point: PointBatchClaim, Mode: ModeFail, Rate: 0.1 + 0.7*r.Float64()}
-	},
-	func(r *rand.Rand) Rule {
-		return Rule{Point: PointBatchCAS, Mode: ModeFail, Rate: 0.05 + 0.45*r.Float64()}
-	},
-	func(r *rand.Rand) Rule {
-		return Rule{Point: PointBatchWindow, Mode: ModeDelay, Rate: 0.1 + 0.4*r.Float64(), Delay: time.Duration(1+r.Intn(20)) * time.Microsecond}
-	},
 	func(r *rand.Rand) Rule { return Rule{Point: PointWake, Mode: ModeDrop, Rate: 0.1 + 0.8*r.Float64()} },
 	func(r *rand.Rand) Rule { return Rule{Point: PointWake, Mode: ModeDup, Rate: 0.1 + 0.4*r.Float64()} },
 	func(r *rand.Rand) Rule {
@@ -229,7 +211,8 @@ var ruleMenu = []func(rng *rand.Rand) Rule{
 	// RandomPlan derives from a given seed — the pinned corpus seeds still
 	// run liveness-safe plans, they just cover different ones than when they
 	// were minted (PR 8 added two steal-domain entries, PR 21 removed them;
-	// the PointPush entry came last, with lazy spawns).
+	// the PointPush entry came last, with lazy spawns; the three batch-steal
+	// entries went with steal-half).
 	// cmd/schedfuzz's TestCorpusCoversMenu checks that seeds 1–24 still
 	// cover every (point, mode) pair the menu can produce.
 	// Memory fault (liveness-safe: a forced budget trip cancels the run with

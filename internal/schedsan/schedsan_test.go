@@ -103,7 +103,7 @@ func TestShrinkMinimizes(t *testing.T) {
 	p := Plan{Seed: 9, Rules: []Rule{
 		{Point: PointSteal, Mode: ModeFail, Rate: 0.3},
 		{Point: PointWake, Mode: ModeDrop, Rate: 0.8},
-		{Point: PointBatchCAS, Mode: ModeFail, Rate: 0.4},
+		{Point: PointRecycle, Mode: ModeFail, Rate: 0.4},
 		{Point: PointPark, Mode: ModeDelay, Rate: 0.5, Delay: 40 * time.Microsecond},
 	}}
 	calls := 0
@@ -131,13 +131,14 @@ func TestShrinkMinimizes(t *testing.T) {
 }
 
 // TestShrinkKeepsFailingPlan: the shrunk plan itself must satisfy the
-// failure predicate.
+// failure predicate. It starts from the first random plan at or after seed
+// 11 with at least three rules, so there is something to shrink.
 func TestShrinkKeepsFailingPlan(t *testing.T) {
 	p := RandomPlan(11)
-	fails := func(c Plan) bool { return len(c.Rules) >= 2 }
-	if !fails(p) {
-		t.Skip("seed produced a single-rule plan")
+	for s := int64(12); len(p.Rules) < 3; s++ {
+		p = RandomPlan(s)
 	}
+	fails := func(c Plan) bool { return len(c.Rules) >= 2 }
 	min := Shrink(p, fails)
 	if !fails(min) {
 		t.Fatalf("shrunk plan no longer fails: %v", min)

@@ -107,9 +107,6 @@ func WriteChrome(w io.Writer, t *Trace) error {
 			case KindStealSuccess:
 				err = emit(chromeEvent{Name: "steal", Phase: "i", TS: us, PID: 1, TID: wid,
 					Scope: "t", Args: map[string]any{"victim": ev.Arg}})
-			case KindStealBatch:
-				err = emit(chromeEvent{Name: "steal-batch", Phase: "i", TS: us, PID: 1, TID: wid,
-					Scope: "t", Args: map[string]any{"moved": ev.Arg}})
 			case KindHuntYield:
 				err = emit(chromeEvent{Name: "hunt-yield", Phase: "i", TS: us, PID: 1, TID: wid, Scope: "t"})
 			case KindLoopSplit:

@@ -39,7 +39,6 @@ func goldenTrace() *Trace {
 		{When: us(15), Kind: KindIdleEnter},
 		{When: us(18), Kind: KindStealAttempt, Arg: 0},
 		{When: us(30), Kind: KindStealSuccess, Arg: 0},
-		{When: us(31), Kind: KindStealBatch, Arg: 3},
 		{When: us(32), Kind: KindLoopSplit, Arg: 64, Run: 1},
 		{When: us(35), Kind: KindIdleExit},
 		{When: us(36), Kind: KindTaskStart, Arg: 1, Run: 1}, // still running at window end

@@ -14,8 +14,6 @@ type WorkerProfile struct {
 	Spawns        int64
 	Steals        int64 // successful steals by this worker
 	StealAttempts int64
-	StealBatches  int64 // steals that moved extra tasks beyond the one kept
-	TasksBatched  int64 // extra tasks those batches moved
 	HuntYields    int64 // hunts that escalated from spinning to yielding
 	InjectPickups int64
 	TaskSkips     int64 // tasks abandoned because their run was cancelled
@@ -253,11 +251,6 @@ func BuildProfile(t *Trace, buckets int) *Profile {
 					p.StealLatency.add(time.Duration(when - huntStart))
 					huntStart = -1
 				}
-			case KindStealBatch:
-				// Follows its KindStealSuccess event, which already closed the
-				// hunt; only the counters need updating.
-				wp.StealBatches++
-				wp.TasksBatched += int64(ev.Arg)
 			case KindHuntYield:
 				wp.HuntYields++
 			case KindLoopSplit:
@@ -424,8 +417,6 @@ func (p *Profile) Render() string {
 		tot.Spawns += w.Spawns
 		tot.Steals += w.Steals
 		tot.StealAttempts += w.StealAttempts
-		tot.StealBatches += w.StealBatches
-		tot.TasksBatched += w.TasksBatched
 		tot.InjectPickups += w.InjectPickups
 		tot.TaskSkips += w.TaskSkips
 		tot.Panics += w.Panics
@@ -437,10 +428,6 @@ func (p *Profile) Render() string {
 		fmt.Fprintf(&sb, "%6s  %6.1f %6.1f %6.1f  %9d %9d %8d %9d %7d\n",
 			"all", pct(tot.Busy)/float64(n), pct(tot.Hunt)/float64(n), pct(tot.Parked)/float64(n),
 			tot.Tasks, tot.Spawns, tot.Steals, tot.StealAttempts, tot.InjectPickups)
-	}
-	if tot.StealBatches > 0 {
-		fmt.Fprintf(&sb, "\nbatched steals: %d batches moved %d extra tasks (%.1f per batch)\n",
-			tot.StealBatches, tot.TasksBatched, float64(tot.TasksBatched)/float64(tot.StealBatches))
 	}
 	if tot.LoopChunks > 0 {
 		fmt.Fprintf(&sb, "\nlazy loops: %d chunks run, %d steal-driven splits\n",

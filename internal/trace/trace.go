@@ -46,7 +46,8 @@ const (
 	KindTaskStart Kind = iota
 	// KindTaskEnd marks the completion of the most recently started task.
 	KindTaskEnd
-	// KindSpawn marks a Spawn call: one task pushed on the worker's deque.
+	// KindSpawn marks a Spawn call: one logical spawn, whether its child was
+	// pushed on the worker's deque or ran inline (lazy spawns).
 	KindSpawn
 	// KindStealAttempt marks one probe of a victim's deque. Arg is the
 	// victim's worker id.
@@ -72,11 +73,6 @@ const (
 	// KindPanic marks a panic quarantined inside a task on this worker.
 	// Arg is the frame's spawn depth; Run is the poisoned run's id.
 	KindPanic
-	// KindStealBatch marks a batch steal, recorded immediately after the
-	// KindStealSuccess event for the same operation (which carries the
-	// victim's id). Arg is the number of extra tasks the batch moved into
-	// this worker's deque beyond the one it kept to run.
-	KindStealBatch
 	// KindHuntYield marks a hunt escalating from its spin phase to its
 	// yield phase after repeated failed sweeps; the final escalation to the
 	// park phase is marked by KindPark/KindUnpark as before.
@@ -97,7 +93,7 @@ const (
 var kindNames = [numKinds]string{
 	"task-start", "task-end", "spawn", "steal-attempt", "steal-success",
 	"inject-pickup", "idle-enter", "idle-exit", "park", "unpark",
-	"task-skip", "panic", "steal-batch", "hunt-yield",
+	"task-skip", "panic", "hunt-yield",
 	"loop-split", "chunk-run",
 }
 
@@ -318,10 +314,6 @@ func (r *Recorder) StealAttempt(victim int32) { r.record(KindStealAttempt, victi
 
 // StealSuccess records a successful steal from victim.
 func (r *Recorder) StealSuccess(victim int32) { r.record(KindStealSuccess, victim, 0) }
-
-// StealBatch records that the steal recorded immediately before was a batch
-// that moved the given number of extra tasks into this worker's deque.
-func (r *Recorder) StealBatch(moved int32) { r.record(KindStealBatch, moved, 0) }
 
 // HuntYield records a hunt escalating from spinning to yielding between
 // sweeps.
