@@ -1,8 +1,9 @@
-// Experiment harness: one benchmark per paper artifact (figure, table, or
-// quantitative claim), E1–E12 as indexed in DESIGN.md. Each benchmark
-// recomputes its experiment and reports the headline quantities as
-// benchmark metrics, printing the full table the paper's figure/claim
-// corresponds to. Regenerate everything with:
+// Experiment harness: one benchmark or test per paper artifact (figure,
+// table, or quantitative claim), E1–E13 as indexed in DESIGN.md. Each
+// benchmark recomputes its experiment and reports the headline quantities
+// as benchmark metrics, printing the full table the paper's figure/claim
+// corresponds to; E7 and E10 are deterministic tests that assert their
+// claim on every `go test` run. Regenerate the benchmarks with:
 //
 //	go test -bench=. -benchmem ./...
 //
@@ -11,13 +12,13 @@ package cilkgo_test
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"cilkgo"
 	"cilkgo/internal/amdahl"
-	"cilkgo/internal/cilklock"
 	"cilkgo/internal/cilkview"
 	"cilkgo/internal/dag"
 	"cilkgo/internal/hyper"
@@ -321,89 +322,27 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// BenchmarkE7RaceDetect runs the Cilkscreen detector over the paper's two
-// bugs and their fixed versions: the §4 qsort middle-1 overlap and the
-// Fig. 5 tree-walk list race (Fig. 6 mutex version must be quiet).
-func BenchmarkE7RaceDetect(b *testing.B) {
-	type tc struct {
-		name string
-		prog func(*sched.Context, *race.Detector)
-		racy bool
+// TestE7RaceDetect runs the Cilkscreen detector over the paper's two bugs,
+// their fixes and the reducer walk (race.Programs, the table `cilk screen`
+// runs): each reports races iff its bug is exposed (§4), under both
+// detector backends and on several inputs.
+func TestE7RaceDetect(t *testing.T) {
+	backends := map[string]func(func(*sched.Context, *race.Detector)) ([]race.Report, error){
+		"sp-bags": race.Check, "sp-order": race.CheckSPOrder,
 	}
-	tree := workloads.BuildTree(512, 3)
-	walk := func(mu *cilklock.Mutex) func(*sched.Context, *race.Detector) {
-		return func(c *sched.Context, d *race.Detector) {
-			var rec func(c *sched.Context, x *workloads.TreeNode)
-			rec = func(c *sched.Context, x *workloads.TreeNode) {
-				if x == nil {
-					return
+	for _, p := range race.Programs {
+		for _, seed := range []int64{1, 2, 3} {
+			for backend, check := range backends {
+				reports, err := check(func(c *sched.Context, d *race.Detector) { p.Run(c, d, 256, seed) })
+				if err != nil {
+					t.Fatalf("%s seed %d (%s): %v", p.Name, seed, backend, err)
 				}
-				if x.Value%3 == 0 {
-					if mu != nil {
-						mu.Lock()
-					}
-					d.Read("output_list", "read tail")
-					d.Write("output_list", "push_back")
-					if mu != nil {
-						mu.Unlock()
-					}
+				if (len(reports) > 0) != p.Racy {
+					t.Errorf("%s seed %d (%s): %d race report(s), want racy=%v", p.Name, seed, backend, len(reports), p.Racy)
 				}
-				c.Spawn(func(c *sched.Context) { rec(c, x.Left) })
-				rec(c, x.Right)
-				c.Sync()
-			}
-			rec(c, tree)
-		}
-	}
-	qsortProg := func(overlap bool) func(*sched.Context, *race.Detector) {
-		return func(c *sched.Context, d *race.Detector) {
-			var rec func(c *sched.Context, lo, hi int)
-			rec = func(c *sched.Context, lo, hi int) {
-				if hi-lo < 2 {
-					return
-				}
-				for i := lo; i < hi; i++ {
-					d.Read(race.Index("a", i), "partition read")
-					d.Write(race.Index("a", i), "partition write")
-				}
-				mid := (lo + hi) / 2
-				right := mid
-				if overlap {
-					right = max(lo+1, mid-1)
-				}
-				c.Spawn(func(c *sched.Context) { rec(c, lo, mid) })
-				rec(c, right, hi)
-				c.Sync()
-			}
-			rec(c, 0, 128)
-		}
-	}
-	cases := []tc{
-		{"qsort-buggy(§4 middle-1)", qsortProg(true), true},
-		{"qsort-fixed", qsortProg(false), false},
-		{"treewalk-racy(Fig.5)", walk(nil), true},
-		{"treewalk-mutex(Fig.6)", walk(cilklock.New("L")), false},
-	}
-	results := make([]int, len(cases))
-	for i := 0; i < b.N; i++ {
-		for j, c := range cases {
-			reports, err := race.Check(c.prog)
-			if err != nil {
-				b.Fatal(err)
-			}
-			results[j] = len(reports)
-			if (len(reports) > 0) != c.racy {
-				b.Fatalf("%s: detector reported %d races, racy=%v", c.name, len(reports), c.racy)
 			}
 		}
 	}
-	b.ReportMetric(float64(results[0]), "buggy_qsort_reports")
-	once("E7", func() {
-		fmt.Printf("\n[E7] Cilkscreen on the paper's bugs (detects iff exposed, §4)\n")
-		for j, c := range cases {
-			fmt.Printf("  %-26s %d report(s)\n", c.name, results[j])
-		}
-	})
 }
 
 // BenchmarkE8ReducerVsMutex reproduces §5's anecdote: with a hot output
@@ -521,50 +460,31 @@ func BenchmarkE9Composability(b *testing.B) {
 	})
 }
 
-// BenchmarkE10Amdahl compares Amdahl's Law with the dag model on programs
-// with a controlled serial fraction: the dag-model speedup (simulated)
-// tracks Amdahl's curve, and both respect the 1/(1−p) limit.
-func BenchmarkE10Amdahl(b *testing.B) {
-	type row struct {
-		frac              float64
-		amdahl, simulated float64
-	}
-	var rows []row
+// TestE10Amdahl compares Amdahl's Law with the dag model on programs with
+// a controlled serial fraction (§2): at P = 16 and serial fractions 0–75%
+// the simulated dag-model speedup never exceeds Amdahl's limit 1/(1−f) and
+// stays within 0.1% of Amdahl's prediction (EXPERIMENTS.md E10).
+func TestE10Amdahl(t *testing.T) {
 	const totalWork = 200_000
 	const procs = 16
-	var maxErr float64
-	for i := 0; i < b.N; i++ {
-		rows = rows[:0]
-		maxErr = 0
-		for _, serialPct := range []int{0, 10, 25, 50, 75} {
-			serialWork := int64(totalWork * serialPct / 100)
-			parWork := int64(totalWork) - serialWork
-			prog := vprog.SerialParallel(serialWork, parWork, 64)
-			m := vprog.Analyze(prog)
-			f := amdahl.ParallelFraction(m.Work, m.Span)
-			r, err := sim.Run(prog, sim.Config{Procs: procs, Seed: 31})
-			if err != nil {
-				b.Fatal(err)
-			}
-			simSpd := r.Speedup(m.Work)
-			amSpd := amdahl.Speedup(f, procs)
-			if simSpd > amdahl.Limit(f)+0.01 {
-				b.Fatalf("serial=%d%%: simulated speedup %.2f beats Amdahl limit %.2f", serialPct, simSpd, amdahl.Limit(f))
-			}
-			if e := (amSpd - simSpd) / amSpd; e > maxErr {
-				maxErr = e
-			}
-			rows = append(rows, row{frac: f, amdahl: amSpd, simulated: simSpd})
+	for _, serialPct := range []int{0, 10, 25, 50, 75} {
+		serialWork := int64(totalWork * serialPct / 100)
+		prog := vprog.SerialParallel(serialWork, totalWork-serialWork, 64)
+		m := vprog.Analyze(prog)
+		f := amdahl.ParallelFraction(m.Work, m.Span)
+		r, err := sim.Run(prog, sim.Config{Procs: procs, Seed: 31})
+		if err != nil {
+			t.Fatal(err)
 		}
+		simSpd, amSpd := r.Speedup(m.Work), amdahl.Speedup(f, procs)
+		if limit := amdahl.Limit(f); simSpd > limit*(1+1e-9) {
+			t.Errorf("serial=%d%%: simulated speedup %.4f beats Amdahl's limit %.4f", serialPct, simSpd, limit)
+		}
+		if gap := math.Abs(amSpd-simSpd) / amSpd; gap >= 0.001 {
+			t.Errorf("serial=%d%%: simulated speedup %.4f is %.3f%% from Amdahl's %.4f, want < 0.1%%", serialPct, simSpd, 100*gap, amSpd)
+		}
+		t.Logf("par-fraction %.3f: amdahl %.2f, simulated %.2f", f, amSpd, simSpd)
 	}
-	b.ReportMetric(maxErr, "max_rel_gap")
-	once("E10", func() {
-		fmt.Printf("\n[E10] Amdahl vs dag model at P=%d (dag model refines Amdahl, §2)\n", procs)
-		fmt.Printf("  %12s %12s %12s\n", "par-fraction", "amdahl", "simulated")
-		for _, r := range rows {
-			fmt.Printf("  %12.3f %12.2f %12.2f\n", r.frac, r.amdahl, r.simulated)
-		}
-	})
 }
 
 // BenchmarkE11ParallelismTable reproduces §2.3's magnitude claims:
