@@ -113,11 +113,12 @@ prof-obs:
 # quarantined at an inline child, an inline child's span merged at the sync),
 # the panic-drain tests (a panic unwinding through a Call while a thief runs
 # its child or loop piece, a panic inside a stolen range piece or in a chunk
-# the owner holds), and pfor's
+# the owner holds), the stats-fold tests (a finishing run folds its cells
+# into the runtime's totals while Stats readers sum them), and pfor's
 # chunk-local fold and ForRange partition tests — repeated under the race
 # detector (mirrors the CI job).
 stress-deque:
-	$(GO) test -race -count=5 -run 'StealCounters|StealBatchConcurrentSum|GateStealLostCAS|SanStealFaultsFire|GrowRacesThieves|ClearsSlots|UnparkWakeup|HuntPhase|RangeExactlyOnce|Gate|San|Lane|Starved|QueuedByClass|QueueLatency|Serial|FlatSpawnSpace|PanicInlineChild|ObsInlineSpawnSpan|PanicCall|PanicStolenRange|PanicHeldChunk' ./internal/deque/ ./internal/sched/
+	$(GO) test -race -count=5 -run 'StealCounters|StealBatchConcurrentSum|GateStealLostCAS|SanStealFaultsFire|GrowRacesThieves|ClearsSlots|UnparkWakeup|HuntPhase|RangeExactlyOnce|Gate|San|Lane|Starved|QueuedByClass|QueueLatency|Serial|FlatSpawnSpace|PanicInlineChild|ObsInlineSpawnSpan|PanicCall|PanicStolenRange|PanicHeldChunk|StatsFoldedFromRuns|StatsExactAtWait' ./internal/deque/ ./internal/sched/
 	$(GO) test -race -count=5 -run 'Reduce|ForRange' ./internal/pfor/
 	$(GO) test -race -count=5 -run 'TestAlloc' .
 

@@ -189,7 +189,7 @@ func RandomFaultPlan(seed int64) SanitizePlan { return schedsan.RandomPlan(seed)
 //
 //	tk, err := rt.Submit(ctx, fn,
 //		cilkgo.WithTenant("acme"), cilkgo.WithQoS(cilkgo.QoSInteractive),
-//		cilkgo.WithStats(), cilkgo.WithTimeBudget(200*time.Millisecond))
+//		cilkgo.WithTimeBudget(200*time.Millisecond))
 //	if err != nil { /* ErrAdmission / ErrQuota / ErrShutdown: shed load */ }
 //	err = tk.Wait()
 //	st := tk.Stats()
@@ -197,7 +197,7 @@ type (
 	// Ticket is the handle to one submitted computation: await it with
 	// Wait/Done, then read Err, Stats, and QueueLatency.
 	Ticket = sched.Ticket
-	// RunOption configures one Submit call (WithStats, WithQoS, WithTenant,
+	// RunOption configures one Submit call (WithQoS, WithTenant,
 	// WithPriority, WithTimeBudget, WithMemoryBudget).
 	RunOption = sched.RunOption
 	// QoSClass is a submission's quality-of-service class; it sets the
@@ -242,8 +242,10 @@ var (
 // QoSClass; the second result reports whether the name was recognized.
 func ParseQoS(s string) (QoSClass, bool) { return sched.ParseQoS(s) }
 
-// WithStats arms per-computation accounting: the Ticket's Stats covers
-// exactly this computation.
+// WithStats does nothing: every run's Ticket.Stats covers exactly its
+// computation.
+//
+// Deprecated: per-run accounting is always on; drop the option.
 func WithStats() RunOption { return sched.WithStats() }
 
 // WithQoS assigns the run's QoS class (default QoSBatch).

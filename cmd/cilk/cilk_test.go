@@ -19,9 +19,11 @@ import (
 // goldens pins the deterministic commands' output byte for byte. The files
 // in testdata are the output of the four per-tool binaries this command
 // replaced (cilkview, cilksim, cilkscreen) for the same arguments, except
-// view_treewalk (treewalk now models a 900‰ hit rate, as sim always did)
-// and screen_treewalk-reducer (the reducer walk no longer reports false
-// races). Regenerate one with `go run ./cmd/cilk <args> > testdata/<name>.golden`.
+// view_treewalk (treewalk now models a 900‰ hit rate, as sim always did),
+// screen_treewalk-reducer (the reducer walk no longer reports false races),
+// and sim_treewalk_mutex and view_treewalk_mutex (the parallelism and the
+// span-law ceiling count the locked work, which runs one segment at a
+// time). Regenerate one with `go run ./cmd/cilk <args> > testdata/<name>.golden`.
 var goldens = []struct {
 	name, args string
 	exit       int
@@ -30,6 +32,7 @@ var goldens = []struct {
 	{"view_fib_csv", "view -workload fib -n 15 -procs 1,2,4 -simulate -csv", 0},
 	{"view_nqueens_mem", "view -workload nqueens -n 6 -mem -procs 1,2,4", 0},
 	{"view_treewalk", "view -workload treewalk -n 3000 -procs 1,2,4", 0},
+	{"view_treewalk_mutex", "view -workload treewalk-mutex -n 3000 -procs 1,2,4 -simulate", 0},
 	{"sim_fib", "sim -workload fib -n 15 -procs 1,2,4,8", 0},
 	{"sim_qsort", "sim -workload qsort -n 20000 -grain 256 -procs 1,2,4", 0},
 	{"sim_treewalk", "sim -workload treewalk -n 3000 -procs 1,2,4", 0},

@@ -64,7 +64,7 @@ func traceCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) int {
 
 		tr := rt.Tracer()
 		tr.Start()
-		tk, runErr := rt.Submit(context.Background(), w.body(&o), cilkgo.WithStats())
+		tk, runErr := rt.Submit(context.Background(), w.body(&o))
 		if runErr == nil {
 			runErr = tk.Wait()
 		}

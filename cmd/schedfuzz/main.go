@@ -259,7 +259,7 @@ func properties(rt *sched.Runtime, res *trialResult, seed int64) {
 				atomic.AddInt32(&counts[i], 1)
 				sum.Add(int64(i))
 			})
-		}, sched.WithStats())
+		})
 		if err == nil {
 			err, stats = tk.Wait(), tk.Stats()
 		}
@@ -348,7 +348,7 @@ func properties(rt *sched.Runtime, res *trialResult, seed int64) {
 			*out = a + b
 		}
 		var stats sched.Stats
-		tk, err := rt.Submit(context.Background(), func(c *sched.Context) { fib(c, 14, &got) }, sched.WithStats())
+		tk, err := rt.Submit(context.Background(), func(c *sched.Context) { fib(c, 14, &got) })
 		if err == nil {
 			err, stats = tk.Wait(), tk.Stats()
 		}

@@ -237,9 +237,6 @@ func handle(rt *cilkgo.Runtime, classes map[string]cilkgo.QoSClass, work func(c 
 		if memBudget > 0 {
 			runOpts = append(runOpts, cilkgo.WithMemoryBudget(memBudget))
 		}
-		if *statsHeader {
-			runOpts = append(runOpts, cilkgo.WithStats())
-		}
 		var result float64
 		start := time.Now()
 		tk, err := rt.Submit(ctx, func(c *cilkgo.Context) { result = work(c, n) }, runOpts...)

@@ -40,22 +40,32 @@ type Profile struct {
 	BurdenedSpan int64
 	Burden       int64
 	Spawns       int64
+	// Critical is the total work done holding the program's one lock
+	// (vprog.Critical segments). Those segments run one at a time on any
+	// schedule, so the span bounds below use max(span, Critical).
+	Critical int64
 }
 
-// Parallelism returns T1/T∞.
+// Parallelism returns T1/max(T∞, Critical): the Span Law ceiling, lock
+// included.
 func (p Profile) Parallelism() float64 {
-	if p.Span == 0 {
-		return 0
-	}
-	return float64(p.Work) / float64(p.Span)
+	return p.ratio(p.Span)
 }
 
-// BurdenedParallelism returns T1/T∞ᵇ, the figure's lower asymptote.
+// BurdenedParallelism returns T1/max(T∞ᵇ, Critical), the figure's lower
+// asymptote.
 func (p Profile) BurdenedParallelism() float64 {
-	if p.BurdenedSpan == 0 {
+	return p.ratio(p.BurdenedSpan)
+}
+
+// ratio returns T1 over the larger of span and the locked work, or 0 when
+// both are 0.
+func (p Profile) ratio(span int64) float64 {
+	bound := max(span, p.Critical)
+	if bound == 0 {
 		return 0
 	}
-	return float64(p.Work) / float64(p.BurdenedSpan)
+	return float64(p.Work) / float64(bound)
 }
 
 // SpeedupUpper returns the upper bound on speedup at P processors implied
@@ -68,13 +78,14 @@ func (p Profile) SpeedupUpper(procs int) float64 {
 }
 
 // SpeedupLowerEstimate returns the tool's estimated lower bound on speedup
-// at P processors: T1 / (T1/P + T∞ᵇ), the greedy bound evaluated with the
-// burdened span.
+// at P processors: T1 / (T1/P + max(T∞ᵇ, Critical)), the greedy bound
+// evaluated with the burdened span, or the locked work where that is
+// longer.
 func (p Profile) SpeedupLowerEstimate(procs int) float64 {
 	if p.Work == 0 {
 		return 0
 	}
-	est := float64(p.Work)/float64(procs) + float64(p.BurdenedSpan)
+	est := float64(p.Work)/float64(procs) + float64(max(p.BurdenedSpan, p.Critical))
 	return float64(p.Work) / est
 }
 
@@ -93,6 +104,7 @@ func FromProgram(prog vprog.Program, burden int64) Profile {
 		BurdenedSpan: bm.Span,
 		Burden:       burden,
 		Spawns:       m.Spawns,
+		Critical:     m.Critical,
 	}
 }
 
@@ -114,7 +126,12 @@ func Render(p Profile, procs []int, measured []Point) string {
 	fmt.Fprintf(&b, "Parallelism profile: %s\n", p.Name)
 	fmt.Fprintf(&b, "  Work (T1)              %18d\n", p.Work)
 	fmt.Fprintf(&b, "  Span (T∞)              %18d\n", p.Span)
-	fmt.Fprintf(&b, "  Parallelism (T1/T∞)    %18.2f\n", p.Parallelism())
+	if p.Critical > 0 {
+		fmt.Fprintf(&b, "  Critical (locked)      %18d  (serialized: bounds speedup like T∞)\n", p.Critical)
+		fmt.Fprintf(&b, "  Parallelism (T1/max)   %18.2f\n", p.Parallelism())
+	} else {
+		fmt.Fprintf(&b, "  Parallelism (T1/T∞)    %18.2f\n", p.Parallelism())
+	}
 	if p.Burden > 0 {
 		fmt.Fprintf(&b, "  Burdened span          %18d  (burden %d/spawn)\n", p.BurdenedSpan, p.Burden)
 		fmt.Fprintf(&b, "  Burdened parallelism   %18.2f\n", p.BurdenedParallelism())

@@ -75,7 +75,7 @@ func TestLazySplitMatchesEagerDag(t *testing.T) {
 	var sink atomic.Int64
 	tk, err := rt1.Submit(context.Background(), func(c *sched.Context) {
 		pfor.ForGrain(c, 0, xcN, xcGrain, xcBody(&sink))
-	}, sched.WithStats())
+	})
 	if err == nil {
 		err = tk.Wait()
 	}
@@ -102,7 +102,7 @@ func TestLazySplitMatchesEagerDag(t *testing.T) {
 		var n atomic.Int64
 		tk, err := rt.Submit(context.Background(), func(c *sched.Context) {
 			pfor.ForGrain(c, 0, xcN, xcGrain, xcBody(&n))
-		}, sched.WithStats())
+		})
 		if err == nil {
 			err = tk.Wait()
 		}

@@ -176,7 +176,7 @@ func TestForRangeChunksPartition(t *testing.T) {
 					counts[i-lo].Add(1)
 				}
 			})
-		}, sched.WithStats())
+		})
 		if err := tk.Wait(); err != nil {
 			t.Fatal(err)
 		}

@@ -154,28 +154,31 @@ func (rt *Runtime) ShutdownDrain(drain time.Duration) bool {
 	rt.mu.Lock()
 	rt.closed = true
 	rt.cond.Broadcast()
-	rt.mu.Unlock()
-
-	deadline := time.Now().Add(drain)
-	drained := true
-	for {
-		rt.mu.Lock()
-		n := len(rt.active)
-		rt.mu.Unlock()
-		if n == 0 {
-			break
+	// No run can become active once closed is set, so the last finish closes
+	// idle for good (see finish).
+	var idle chan struct{}
+	if len(rt.active) > 0 && drain > 0 {
+		if rt.idle == nil {
+			rt.idle = make(chan struct{})
 		}
-		if drain <= 0 || !time.Now().Before(deadline) {
-			drained = false
-			rt.mu.Lock()
-			for rs := range rt.active {
-				rs.cancelWith(ErrShutdown)
-			}
-			rt.mu.Unlock()
-			break
-		}
-		time.Sleep(50 * time.Microsecond)
+		idle = rt.idle
 	}
+	rt.mu.Unlock()
+	if idle != nil {
+		timer := time.NewTimer(drain)
+		select {
+		case <-idle:
+		case <-timer.C:
+		}
+		timer.Stop()
+	}
+	drained := true
+	rt.mu.Lock()
+	for rs := range rt.active {
+		drained = false
+		rs.cancelWith(ErrShutdown)
+	}
+	rt.mu.Unlock()
 	rt.wg.Wait()
 	rt.san.shut()
 	// Satellite invariant of the drain protocol: a bounded drain must never

@@ -385,7 +385,7 @@ func TestRunWithStatsCtxSkippedAccounting(t *testing.T) {
 			time.Sleep(10 * time.Microsecond)
 		}
 		c.Sync()
-	}, WithStats())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,12 +75,10 @@ func (c *Context) Spawn(fn func(*Context)) {
 	if rs.cancelled() {
 		return
 	}
-	w.hot.spawns++
-	if w.hot.spawns&(publishEvery-1) == 0 {
-		w.publish()
-	}
-	if rs.stats != nil {
-		w.acct(rs).c.spawns++
+	m := w.acct(rs)
+	m.c.spawns++
+	if m.c.spawns&(publishEvery-1) == 0 {
+		w.flushRun()
 	}
 	w.rec.Spawn()
 	if w.deque == nil {
@@ -115,14 +113,12 @@ func (c *Context) Spawn(fn func(*Context)) {
 	}
 	f.spawned++
 	child := w.getFrame(f, rs, ord, f.depth+1)
+	w.chargeMem(rs, frameMemBytes) // queued until it runs (runTask)
 	// spanLocal is zero on unobserved runs, and recycled frames reset the
 	// field, so the store needs no clock gate.
 	child.spawnSpan = c.spanLocal
 	child.t.fn = fn
-	w.hot.pushes++
-	if rs.stats != nil {
-		w.acct(rs).c.pushes++
-	}
+	m.c.pushes++ // still rs's mirror: the charge above accounted to rs too
 	// Wake a parked worker only when this push made the deque non-empty: a
 	// non-empty deque already blocks parking (the parker's under-lock
 	// stealableWork re-check), so pushes onto a deque with visible work
@@ -180,7 +176,11 @@ func (c *Context) Call(fn func(*Context)) {
 		h.CallStart()
 	}
 	w := c.w
-	child := w.getFrame(c.frame, c.frame.run, 0, c.frame.depth+1)
+	rs := c.frame.run
+	child := w.getFrame(c.frame, rs, 0, c.frame.depth+1)
+	// A called frame runs on the caller's strand rather than as a task, so
+	// it is not one of the live frames: its bytes are charged while it lasts.
+	w.chargeMem(rs, frameMemBytes)
 	// The callee borrows the child frame's embedded Context — a Call
 	// allocates nothing on a warm freelist.
 	//
@@ -197,7 +197,10 @@ func (c *Context) Call(fn func(*Context)) {
 	// outstanding children and loop pieces are drained, so none of them runs
 	// after Ticket.Wait returns; on a normal return Sync has joined them all
 	// and syncWait has nothing to do.
-	defer w.putFrame(child)
+	defer func() {
+		w.chargeMem(rs, -frameMemBytes)
+		w.putFrame(child)
+	}()
 	defer cc.syncWait()
 	fn(cc)
 	cc.Sync() // implicit sync of the called frame

@@ -331,14 +331,14 @@ type Finalizer interface {
 }
 
 // runState tracks one submitted run: completion signaling, the
-// cooperative cancel gate, quarantined panics, and (with WithStats)
-// per-computation counters.
+// cooperative cancel gate, quarantined panics, and the run's counters.
 type runState struct {
 	// id identifies the run, so trace events of concurrent
 	// computations sharing the workers can be told apart.
-	id    int64
-	rt    *Runtime
-	stats *runCounters // nil unless submitted WithStats (or observed or budgeted)
+	id int64
+	rt *Runtime
+	// cells are the run's counters, one cell per worker (runCell).
+	cells []runCell
 	done  chan struct{}
 
 	// canceled is the cooperative cancel gate checked at the spawn,
@@ -427,65 +427,21 @@ func (rs *runState) release() {
 	})
 }
 
-// runCell is one worker's shard of a run's counters. Each cell is written
-// only by the worker whose id indexes it (a serial run's strand worker has
-// id 0), and because cells of different workers sit on different cache
-// lines (the pad below), there is no shared cacheline traffic. The spawn-, task- and chunk-path counters (hotCells) and the
-// memory shard of an unbudgeted run are counted in the worker's plain
-// runMirror and stored here only when the worker publishes or switches
-// runs (stats.go); the steal-path counters are bumped in place. Readers
-// (snapshot, the quiescence checker) sum the counters and max the gauges
-// across cells; the atomics make those cross-thread reads well-defined.
-type runCell struct {
-	hotCells
-	steals      atomic.Int64
-	loopSplits  atomic.Int64
-	rangeSteals atomic.Int64
-	// memLive/memPeak are the run's live-byte accounting shard (see
-	// memory.go): frame bytes and Context.Charge declarations performed by
-	// this cell's worker. Refunds may land in a different cell than their
-	// charge, so memLive can go negative; only the cross-cell sum means
-	// anything. memPeak is raised only on this cell's own positive charges.
-	memLive atomic.Int64
-	memPeak atomic.Int64
-	_       [24]byte // pad 13×8 B of counters to two 64 B cache lines
-}
-
-// runCounters is a run's accounting, sharded one cell per worker.
-type runCounters struct {
-	cells []runCell
-}
-
-// newRunCounters sizes the shard array for a runtime with n workers (a
-// serial runtime has none and gets the single cell its run's strand needs).
-func newRunCounters(n int) *runCounters {
-	if n < 1 {
-		n = 1
-	}
-	return &runCounters{cells: make([]runCell, n)}
-}
-
-// snapshot folds the per-run counters into a Stats, summing counts and
-// maxing gauges across the worker cells. StealAttempts is zero: failed
-// probes are not attributable to one computation. MaxLiveFrames is the
-// per-worker high-water mark (the maximum over cells), matching the
-// runtime-wide Stats field it mirrors.
+// snapshot folds the run's cells into a Stats, summing counts and maxing
+// gauges across the worker cells. StealAttempts is zero: failed probes are
+// not attributable to one computation. MaxLiveFrames is the per-worker
+// high-water mark (the maximum over cells), matching the runtime-wide Stats
+// field it mirrors.
 func (rs *runState) snapshot() Stats {
 	var out Stats
-	if s := rs.stats; s != nil {
-		for i := range s.cells {
-			c := &s.cells[i]
-			out.addHot(c.hotCells.load())
-			out.Steals += c.steals.Load()
-			out.LoopSplits += c.loopSplits.Load()
-			out.RangeSteals += c.rangeSteals.Load()
-		}
+	for i := range rs.cells {
+		c := rs.cells[i].load()
+		out.addCell(&c)
 	}
 	if cl := rs.clock; cl != nil {
 		out.Work = time.Duration(cl.work.Load())
 		out.Span = time.Duration(cl.span.Load())
 	}
-	out.MemLiveBytes = rs.memLiveBytes()
 	out.MemPeakBytes = rs.memPeakBytes()
 	return out
 }
@@ -504,20 +460,29 @@ func (rs *runState) poison(v any) {
 
 // finish marks the run complete and releases everyone awaiting its Ticket.
 // It first releases the run's resources (context watcher, admission
-// reservation), then retires it from the active table — when the last
-// active run drains it broadcasts, so workers that parked mid-run (the
-// hunt's third phase) re-check the exit condition; without this, a Shutdown
-// issued while the run was still active would wait forever on workers that
-// parked after its broadcast. The observer's RunEnd fires strictly before
-// the done channel closes, so a caller returning from Ticket.Wait always
-// finds its run already reported.
+// reservation), then retires it from the active table, folding its cells —
+// exact by now (see flushRun) — into the runtime's retired totals under the
+// same lock. When the last active run drains it broadcasts, so workers that
+// parked mid-run (the hunt's third phase) re-check the exit condition —
+// without this, a Shutdown issued while the run was still active would wait
+// forever on workers that parked after its broadcast — and it closes idle
+// for any ShutdownDrain waiting. The observer's RunEnd fires strictly
+// before the done channel closes, so a caller returning from Ticket.Wait
+// always finds its run already reported and counted.
 func (rs *runState) finish() {
 	rt := rs.rt
 	rs.release()
 	rt.mu.Lock()
+	for i := range rs.cells {
+		rt.retired[i].add(rs.cells[i].load())
+	}
 	delete(rt.active, rs)
 	if len(rt.active) == 0 {
 		rt.cond.Broadcast()
+		if rt.idle != nil {
+			close(rt.idle)
+			rt.idle = nil
+		}
 	}
 	rt.mu.Unlock()
 	if obs := rt.cfg.observer; obs != nil {
@@ -641,16 +606,12 @@ func (w *worker) getFrame(parent *frame, rs *runState, ordinal, depth int32) *fr
 	}
 	f.parent, f.run = parent, rs
 	f.ordinal, f.depth = ordinal, depth
-	chargeFrameMem(rs, w, frameMemBytes)
 	return f
 }
 
 // putFrame resets f and returns it to w's freelist, spilling one batch to
 // the backstop when the list is full.
 func (w *worker) putFrame(f *frame) {
-	if rs := f.run; rs != nil {
-		chargeFrameMem(rs, w, -frameMemBytes) // before resetFrame drops f.run
-	}
 	resetFrame(f)
 	if len(w.frameFree) >= frameLocalCap {
 		w.spillFrames()

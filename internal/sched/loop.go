@@ -176,14 +176,13 @@ func (w *worker) peel(t *task, ctx *Context) {
 
 // runChunk executes one grain of a lazy loop's iterations on ctx's strand.
 func (w *worker) runChunk(ctx *Context, ls *loopState, lo, hi int) {
-	w.hot.chunksPeeled++
-	if w.hot.chunksPeeled&(publishEvery-1) == 0 {
-		w.publish()
+	rs := ls.frame.run
+	m := w.acct(rs)
+	m.c.chunksPeeled++
+	if m.c.chunksPeeled&(publishEvery-1) == 0 {
+		w.flushRun()
 	}
-	if rs := ls.frame.run; rs.stats != nil {
-		w.acct(rs).c.chunksPeeled++
-	}
-	w.rec.ChunkRun(int32(hi-lo), ls.frame.run.id)
+	w.rec.ChunkRun(int32(hi-lo), rs.id)
 	ls.body(ctx, lo, hi)
 }
 
@@ -195,11 +194,8 @@ func (w *worker) runChunk(ctx *Context, ls *loopState, lo, hi int) {
 // of waiting a whole chunk for the thief's first remainder publish.
 func (w *worker) splitRange(t *task) {
 	ls := t.loop
-	bump(&w.ws.rangeSteals)
 	rs := ls.frame.run
-	if s := rs.stats; s != nil {
-		bump(&s.cells[w.id].rangeSteals)
-	}
+	bump(&rs.cells[w.id].rangeSteals)
 	if t.hi-t.lo <= ls.grain || rs.cancelled() {
 		return
 	}
@@ -210,10 +206,7 @@ func (w *worker) splitRange(t *task) {
 	ls.frame.join.Add(1) // the new half is one more piece to join
 	nt := newRangeTask(ls, mid, t.hi)
 	t.hi = mid
-	bump(&w.ws.loopSplits)
-	if s := rs.stats; s != nil {
-		bump(&s.cells[w.id].loopSplits)
-	}
+	bump(&rs.cells[w.id].loopSplits)
 	w.rec.LoopSplit(int32(nt.hi-nt.lo), rs.id)
 	if w.deque.PushBottom(nt) {
 		w.rt.wake()
@@ -237,7 +230,7 @@ func (w *worker) runPiece(t *task) {
 	rs := lf.run
 	if rs.cancelled() {
 		w.countSkip(rs, lf.depth+1)
-		w.publish()
+		w.flushRun()
 		freeRangeTask(t)
 		return
 	}
@@ -257,9 +250,9 @@ func (w *worker) runPiece(t *task) {
 	// runTask). Deposit before signalling the join counter: the loop's sync
 	// must not fold until every episode's views are visible. The episode
 	// unit is released through the shared word wherever the piece ran, so
-	// its counts are published first, like any off-strand join's.
+	// its counts are flushed first, like any off-strand join's.
 	lf.depositPiece(ls.seq, start, views)
-	w.publish()
+	w.flushRun()
 	lf.join.Add(-1) // release the episode unit
 }
 
@@ -267,9 +260,6 @@ func (w *worker) runPiece(t *task) {
 // because the run was cancelled: a frame (skipFrame) or a range piece
 // (runPiece).
 func (w *worker) countSkip(rs *runState, depth int32) {
-	w.hot.tasksSkipped++
-	if rs.stats != nil {
-		w.acct(rs).c.tasksSkipped++
-	}
+	w.acct(rs).c.tasksSkipped++
 	w.rec.TaskSkip(depth, rs.id)
 }

@@ -223,7 +223,7 @@ func TestLoopTaskCreationReduction(t *testing.T) {
 			loopRange(c, 0, n, grain, func(c *Context, l, h int) {
 				total.Add(int64(h - l))
 			})
-		}, WithStats())
+		})
 		st, err := tk.Stats(), tk.Wait()
 		if err != nil {
 			t.Fatal(err)
@@ -264,7 +264,7 @@ func TestLoopTraceEvents(t *testing.T) {
 			}
 			_ = x
 		})
-	}, WithStats())
+	})
 	st, err := tk.Stats(), tk.Wait()
 	tr := rt.Tracer().Stop()
 	if err != nil {

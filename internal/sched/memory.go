@@ -3,25 +3,29 @@ package sched
 // This file is the runtime's memory-accounting and budget-enforcement layer
 // — the enforcement half of the Cilkmem story (internal/cilkmem is the
 // analysis half). The model is the same as the analyzer's: a run's live
-// memory is the sum of its live activation frames (charged at allocation on
-// the spawning strand, refunded when the frame retires) plus whatever the
-// program itself declares through Context.Charge/Refund. The accounting
-// rides in the same per-worker runCell shards as the per-run counters —
-// counted in the worker's plain run mirror and published with it, or, on a
-// budgeted run, a single-writer load/store per charge on a cache line the
-// worker already owns — so a run submitted without stats or a budget pays
-// only a nil check per site, and an accounted run pays no cross-worker
-// traffic. Every charge has a worker to land on: a serial elision runs on a
-// strand worker of its own (runSerial), so there is no worker-less path.
+// memory is the sum of its live activation frames, queued or running, plus
+// whatever the program itself declares through Context.Charge/Refund. The
+// accounting rides in the same per-worker runCell shards as the run's
+// counters: a running frame is one of the cell's live frames (liveFrames),
+// so an inline spawn pays nothing more for its memory, and a frame
+// allocated but not running — a pushed child waiting in a deque, a Call's
+// frame — is charged to the cell's memLive, with the program's own charges.
+// Both are counted in the worker's plain run mirror and flushed with it, or,
+// on a budgeted run, written through to a cache line the worker already
+// owns, so no run pays cross-worker traffic for its accounting, and every
+// run has its own measured high-water mark. Every charge has a worker
+// to land on: a serial elision runs on a strand worker of its own
+// (runSerial), so there is no worker-less path.
 //
 // Enforcement is cooperative, at exactly the cancellation layer's
 // boundaries (spawn, task start, chunk peel): a run whose live bytes exceed
 // its WithMemoryBudget is cancelled skip-but-join with ErrMemoryBudget, so
 // an over-budget computation stops growing its spawn tree within one chunk
-// boundary but no running strand is ever interrupted. Charges land in the
-// worker that performs them while refunds land in the worker that frees, so
-// individual cells can go negative; only the cross-cell sum is meaningful,
-// and it is exact at every instant.
+// boundary but no running strand is ever interrupted. A queued frame is
+// charged by the worker that pushes it and refunded by the one that runs
+// it, and a Refund may land elsewhere than its Charge, so individual cells
+// can go negative; only the cross-cell sum is meaningful, and it is exact
+// once the workers have flushed.
 
 import (
 	"sort"
@@ -42,51 +46,39 @@ var ErrMemoryBudget error = &cancelError{msg: "sched: computation exceeded its m
 // spawn fast path for a second-order term.
 const frameMemBytes = int64(unsafe.Sizeof(frame{}))
 
-// chargeFrameMem records one frame allocation (delta = +frameMemBytes) or
-// retirement (−frameMemBytes) against the run, in the acting worker's cell.
-// No-op unless the run carries counters. Queued-but-unrun frames are charged
-// like running ones: a spawn bomb's memory is in its queued frames, which is
-// exactly what a budget must see. A root frame is charged by whoever starts
-// executing it — the worker that picks it up (takeInjected), or a serial
-// run's strand — so a root skipped before pickup refunds what its picker
-// charged.
-func chargeFrameMem(rs *runState, w *worker, delta int64) {
-	if rs.stats == nil {
-		return
-	}
-	w.chargeMem(rs, delta)
-}
-
-// chargeMem records delta live bytes in w's cell of rs, which carries
-// stats. A budgeted run writes through, because checkBudgetSlow sums the
-// live cells at every boundary; any other run counts in the worker's run
-// mirror, published with it (stats.go).
+// chargeMem records delta live bytes in w's cell of rs: a Context.Charge,
+// or a frame that is allocated but not running going live (delta =
+// +frameMemBytes) or starting to run or retiring (−frameMemBytes). Queued
+// frames are charged like running ones: a spawn bomb's memory is in its
+// queued frames, which is exactly what a budget must see.
+//
+// A budgeted run writes the mirror through to the cell at once, here and at
+// every frame start and end, because checkBudgetSlow sums the live cells at
+// every boundary.
 func (w *worker) chargeMem(rs *runState, delta int64) {
-	if rs.memBudget > 0 {
-		cell := &rs.stats.cells[w.id]
-		n := cell.memLive.Load() + delta
-		cell.memLive.Store(n)
-		if delta > 0 {
-			maxOwn(&cell.memPeak, n)
-		}
-		return
-	}
 	m := w.acct(rs)
 	m.memLive += delta
-	if m.memLive > m.memPeak {
-		m.memPeak = m.memLive
+	m.raisePeak()
+	if rs.memBudget > 0 {
+		w.flushRun()
 	}
 }
 
-// memLiveBytes is the run's current live memory: the cross-cell sum. A
-// single frame's charge and refund may land in different cells, so
-// individual cells can be negative; the sum is exact.
+// raisePeak raises the mirror's live-byte watermark to its current live
+// bytes: the charged balance plus the running frames.
+func (m *runMirror) raisePeak() {
+	m.memPeak = max(m.memPeak, m.memLive+m.c.liveFrames*frameMemBytes)
+}
+
+// memLiveBytes is the run's current live memory: the cross-cell sum of the
+// running frames and the charged bytes. A queued frame's charge and refund
+// may land in different cells, so individual cells can be negative; the sum
+// is exact.
 func (rs *runState) memLiveBytes() int64 {
 	var n int64
-	if s := rs.stats; s != nil {
-		for i := range s.cells {
-			n += s.cells[i].memLive.Load()
-		}
+	for i := range rs.cells {
+		c := &rs.cells[i]
+		n += c.memLive.Load() + c.liveFrames.Load()*frameMemBytes
 	}
 	return n
 }
@@ -100,10 +92,8 @@ func (rs *runState) memLiveBytes() int64 {
 func (rs *runState) memPeakBytes() int64 {
 	p := rs.memPeak.Load()
 	var sum int64
-	if s := rs.stats; s != nil {
-		for i := range s.cells {
-			sum += s.cells[i].memPeak.Load()
-		}
+	for i := range rs.cells {
+		sum += rs.cells[i].memPeak.Load()
 	}
 	if sum > p {
 		p = sum
@@ -140,18 +130,16 @@ func (rs *runState) checkBudgetSlow(w *worker) {
 // budget. Refund (or Charge with a negative delta) returns it; a strand
 // need not refund on the worker that charged. On a budgeted run a positive
 // charge is itself a budget check site, so a single oversized allocation is
-// caught immediately rather than at the next spawn. Without stats or a
-// budget armed the charge still feeds the runtime-wide live gauge
-// (Runtime.MemLiveBytes) and costs two plain stores.
+// caught immediately rather than at the next spawn. The charge is flushed to
+// the run's cell at once, so the runtime-wide live gauge
+// (Runtime.MemLiveBytes) sees it before the strand goes on.
 func (c *Context) Charge(bytes int64) {
 	if bytes == 0 {
 		return
 	}
 	rs, w := c.frame.run, c.w
-	bumpN(&w.ws.memLive, bytes)
-	if rs.stats != nil {
-		w.chargeMem(rs, bytes)
-	}
+	w.chargeMem(rs, bytes)
+	w.flushRun()
 	if bytes > 0 {
 		rs.checkBudget(w)
 	}
@@ -161,19 +149,19 @@ func (c *Context) Charge(bytes int64) {
 // Charge(-n).
 func (c *Context) Refund(bytes int64) { c.Charge(-bytes) }
 
-// MemLiveBytes estimates the runtime's current live computation memory
-// across all runs: every worker's live frames at frameMemBytes each, plus
-// the net Context.Charge balance. It is a racy gauge — workers update their
-// cells while it sums, and a busy worker's frame count trails by up to
-// publishEvery spawns (a run's root frame and every Charge are visible at
-// once) — suitable for watermark decisions, not invariants; exact at
-// quiescence.
-// Always 0 on a serial-elision runtime: its strand workers belong to their
-// runs, whose own gauges are in Ticket.Stats.
+// MemLiveBytes estimates the runtime's current live computation memory:
+// the live bytes of every run in flight — its frames at frameMemBytes each,
+// queued spawns included, plus its net Context.Charge balance — and the
+// Charge balance finished runs left unrefunded. It is a racy gauge — workers
+// update their cells while it sums, and a busy worker's frame charges trail
+// by up to publishEvery spawns (a run's root frame and every Charge are
+// visible at once) — suitable for watermark decisions, not invariants;
+// exact at quiescence. A serial-elision runtime counts the runs executing
+// on their callers' goroutines.
 func (rt *Runtime) MemLiveBytes() int64 {
 	var n int64
-	for _, w := range rt.workers {
-		n += w.ws.liveFrames.Load()*frameMemBytes + w.ws.memLive.Load()
+	for _, c := range rt.cellTotals() {
+		n += c.liveBytes()
 	}
 	return n
 }
@@ -260,7 +248,7 @@ func (rt *Runtime) shedForMemory(liveBytes int64) {
 	var worst int64
 	rt.mu.Lock()
 	for rs := range rt.active {
-		if rs.qos != QoSBestEffort || rs.stats == nil || rs.canceled.Load() {
+		if rs.qos != QoSBestEffort || rs.canceled.Load() {
 			continue
 		}
 		if over := rs.memLiveBytes() - ewma[rs.tenant]; over > 0 && over > worst {

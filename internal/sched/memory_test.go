@@ -262,7 +262,7 @@ func TestSoftWatermarkShedsBestEffort(t *testing.T) {
 
 // TestHardWatermarkShedsOverEWMARun: above the hard watermark a submission
 // cancels the best-effort run whose live memory most exceeds its tenant's
-// EWMA — here the only accounted best-effort run, which has no EWMA yet.
+// EWMA — here the only best-effort run, whose tenant has no EWMA yet.
 func TestHardWatermarkShedsOverEWMARun(t *testing.T) {
 	rt := New(WithWorkers(2), WithAdmission(AdmissionConfig{HardMemoryWatermark: 1}))
 	defer rt.Shutdown()
@@ -273,7 +273,7 @@ func TestHardWatermarkShedsOverEWMARun(t *testing.T) {
 		for !c.Cancelled() {
 			time.Sleep(100 * time.Microsecond)
 		}
-	}, WithQoS(QoSBestEffort), WithStats(), WithTenant("hog"))
+	}, WithQoS(QoSBestEffort), WithTenant("hog"))
 	if err != nil {
 		t.Fatalf("submit victim: %v", err)
 	}
@@ -356,13 +356,14 @@ func TestMemLiveBytesGaugeSettles(t *testing.T) {
 // — so a spawn-free run peaks at exactly one frame, budgeted or not.
 func TestRootFrameMemPeak(t *testing.T) {
 	modes := map[string]Option{"parallel": WithWorkers(1), "serial": WithSerialElision()}
-	runs := map[string]RunOption{"stats": WithStats(), "budget": WithMemoryBudget(1 << 20)}
+	// "stats" is a run without options: every run is accounted.
+	runs := map[string][]RunOption{"stats": nil, "budget": {WithMemoryBudget(1 << 20)}}
 	for mode, opt := range modes {
-		for run, ropt := range runs {
+		for run, ropts := range runs {
 			t.Run(mode+"/"+run, func(t *testing.T) {
 				rt := New(opt)
 				defer rt.Shutdown()
-				tk := mustSubmit(t, rt, func(*Context) {}, ropt)
+				tk := mustSubmit(t, rt, func(*Context) {}, ropts...)
 				if err := tk.Wait(); err != nil {
 					t.Fatal(err)
 				}
@@ -389,7 +390,7 @@ func TestQueuedCancelRootMem(t *testing.T) {
 	<-started // the only worker is busy: the next root stays queued
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := false
-	tk, err := rt.Submit(ctx, func(*Context) { ran = true }, WithStats())
+	tk, err := rt.Submit(ctx, func(*Context) { ran = true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +449,7 @@ func TestFlatSpawnSpace(t *testing.T) {
 					c.Spawn(func(*Context) {})
 				}
 				c.Sync()
-			}, WithStats())
+			})
 			if err := tk.Wait(); err != nil {
 				t.Fatal(err)
 			}

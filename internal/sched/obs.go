@@ -13,7 +13,7 @@ package sched
 //     the segment it just executed — the code between two parallel-control
 //     events — into a plain per-worker accumulator for the run (runMirror,
 //     stats.go), flushed into the run's clock with one atomic add when the
-//     worker publishes or switches runs.
+//     worker flushes it (flushRun) or switches runs.
 //
 //   - Span is computed structurally. Each frame tracks its local span (the
 //     running span along its own strand, in Context.spanLocal) and the max

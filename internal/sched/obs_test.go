@@ -287,7 +287,7 @@ func TestObsUnobservedRunsZero(t *testing.T) {
 	tk := mustSubmit(t, rt, func(c *Context) {
 		c.Spawn(func(c *Context) { spinFor(time.Millisecond) })
 		c.Sync()
-	}, WithStats())
+	})
 	st, err := tk.Stats(), tk.Wait()
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,11 +16,12 @@ import (
 // at most publishEvery spawns stale before, and a child that is never stolen
 // joins its parent without touching shared state.
 
-// liveFrameTotal sums the workers' published live-frame gauges.
+// liveFrameTotal sums the live-frame gauges of every run's cells, the
+// finished runs' retired totals included.
 func liveFrameTotal(rt *Runtime) int64 {
 	var n int64
-	for _, w := range rt.workers {
-		n += w.ws.liveFrames.Load()
+	for _, c := range rt.cellTotals() {
+		n += c.liveFrames
 	}
 	return n
 }
@@ -150,6 +152,144 @@ func TestStatsExactAtWait(t *testing.T) {
 				log.empty(t)
 			}
 		}
+	}
+}
+
+// TestStatsFoldedFromRuns: the runtime-wide counters are folded from the
+// runs' own cells, so every Ticket's Stats is populated without any option,
+// and once every Wait has returned the Stats() delta is exactly the sum of
+// the Tickets' Stats, each counted once; its frame watermarks are the
+// maximum over the runs, and the per-worker Metrics keys add up to the
+// totals. The runs are submitted concurrently, sharing one or two workers,
+// or each on a strand worker of its own on a serial-elision runtime, while
+// a reader polls Stats: a finish moves its run's counts into the retired
+// totals without a reader ever seeing the runtime's spawn count fall.
+func TestStatsFoldedFromRuns(t *testing.T) {
+	type counts struct {
+		spawns, pushed, steals, run, skipped, splits, chunks, rangeSteals int64
+	}
+	countsOf := func(s Stats) counts {
+		return counts{s.Spawns, s.Pushed, s.Steals, s.TasksRun, s.TasksSkipped,
+			s.LoopSplits, s.ChunksPeeled, s.RangeSteals}
+	}
+	bodies := []func(*Context){
+		func(c *Context) {
+			var out int64
+			fibYield(c, 14, &out)
+		},
+		func(c *Context) {
+			loopRange(c, 0, 4096, 8, func(c *Context, l, h int) {
+				for i := l; i < h; i++ {
+					if i%64 == 0 {
+						c.Spawn(func(*Context) {})
+					}
+				}
+			})
+		},
+		func(c *Context) {
+			for i := 0; i < 500; i++ {
+				c.Spawn(func(c *Context) {
+					var out int64
+					fib(c, 4, &out)
+				})
+			}
+		},
+	}
+	for _, tc := range []struct {
+		name string
+		opt  Option
+	}{{"P1", WithWorkers(1)}, {"P2", WithWorkers(2)}, {"serial", WithSerialElision()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := New(tc.opt)
+			defer rt.Shutdown()
+			before := rt.Stats()
+			stop, polled := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(polled)
+				last := before.Spawns
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if n := rt.Stats().Spawns; n < last {
+						t.Errorf("Stats().Spawns fell from %d to %d while runs finished", last, n)
+					} else {
+						last = n
+					}
+					_ = rt.Metrics()
+				}
+			}()
+			const rounds = 4
+			tks := make(chan *Ticket, rounds*len(bodies))
+			var wg sync.WaitGroup
+			for r := 0; r < rounds; r++ {
+				for _, body := range bodies {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						tk, err := rt.Submit(context.Background(), body)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						tks <- tk
+					}()
+				}
+			}
+			wg.Wait()
+			close(tks)
+			var sum counts
+			var maxLive, maxDepth int64
+			for tk := range tks {
+				if err := tk.Wait(); err != nil {
+					t.Error(err)
+				}
+				st := tk.Stats()
+				if st.Spawns == 0 || st.TasksRun == 0 || st.MaxLiveFrames == 0 || st.MemPeakBytes == 0 {
+					t.Errorf("run %d: Ticket.Stats not populated: %+v", tk.ID(), st)
+				}
+				c := countsOf(st)
+				sum.spawns += c.spawns
+				sum.pushed += c.pushed
+				sum.steals += c.steals
+				sum.run += c.run
+				sum.skipped += c.skipped
+				sum.splits += c.splits
+				sum.chunks += c.chunks
+				sum.rangeSteals += c.rangeSteals
+				maxLive = max(maxLive, st.MaxLiveFrames)
+				maxDepth = max(maxDepth, st.MaxDepth)
+			}
+			close(stop)
+			<-polled
+			after := rt.Stats()
+			if got := countsOf(after.Sub(before)); got != sum {
+				t.Errorf("Stats() delta %+v, Σ Ticket.Stats %+v", got, sum)
+			}
+			if after.MaxLiveFrames != maxLive || after.MaxDepth != maxDepth {
+				t.Errorf("Stats() MaxLiveFrames/MaxDepth = %d/%d, max over runs %d/%d",
+					after.MaxLiveFrames, after.MaxDepth, maxLive, maxDepth)
+			}
+			if after.MemLiveBytes != 0 {
+				t.Errorf("Stats().MemLiveBytes = %d after every Wait, want 0", after.MemLiveBytes)
+			}
+			m := rt.Metrics()
+			for _, key := range []string{"spawns", "tasks_run", "steals"} {
+				var perWorker int64
+				for i := int64(0); i < m["workers"]; i++ {
+					v, ok := m[fmt.Sprintf("worker.%d.%s", i, key)]
+					if !ok {
+						t.Fatalf("Metrics has no worker.%d.%s", i, key)
+					}
+					perWorker += v
+				}
+				if perWorker != m[key] {
+					t.Errorf("Σ worker.N.%s = %d, %s = %d", key, perWorker, key, m[key])
+				}
+			}
+		})
 	}
 }
 

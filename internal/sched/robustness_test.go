@@ -177,9 +177,9 @@ func TestStatsQuiescentConsistency(t *testing.T) {
 	if s.TasksRun != s.Spawns {
 		t.Fatalf("TasksRun %d != Spawns %d at quiescence", s.TasksRun, s.Spawns)
 	}
-	for _, w := range rt.workers {
-		if live := w.ws.liveFrames.Load(); live != 0 {
-			t.Fatalf("worker %d has %d live frames at quiescence", w.id, live)
+	for i, c := range rt.cellTotals() {
+		if c.liveFrames != 0 {
+			t.Fatalf("worker %d has %d live frames at quiescence", i, c.liveFrames)
 		}
 	}
 }
@@ -247,7 +247,7 @@ func TestPanicInlineChildQuarantined(t *testing.T) {
 				})
 				x.Store(1)
 				c.Sync()
-			}, WithStats())
+			})
 			onePanic(t, tk.Wait())
 			if x.Load() != 1 {
 				t.Fatal("the panic unwound the parent's continuation: x.Store(1) never ran")
@@ -310,7 +310,7 @@ func TestPanicCallDrainsStolenChild(t *testing.T) {
 			awaitFlag(t, &started) // the other worker stole the child
 			panic("boom")
 		})
-	}, WithStats())
+	})
 	onePanic(t, tk.Wait())
 	if !finished.Load() {
 		t.Fatal("Wait returned while a child of the panicking Call was still running")
@@ -339,7 +339,7 @@ func TestPanicCallDrainsStolenPiece(t *testing.T) {
 				pieceDone.Store(true)
 			})
 		})
-	}, WithStats())
+	})
 	onePanic(t, tk.Wait())
 	if !pieceDone.Load() {
 		t.Fatal("Wait returned while a stolen piece of the panicking loop was still running")
@@ -370,7 +370,7 @@ func TestPanicCallSettlesMemory(t *testing.T) {
 					c.Spawn(func(*Context) {})
 					panic("boom")
 				})
-			}, WithStats())
+			})
 			onePanic(t, tk.Wait())
 			if st := tk.Stats(); st.MemLiveBytes != 0 {
 				t.Fatalf("MemLiveBytes = %d, want 0", st.MemLiveBytes)
@@ -397,7 +397,7 @@ func TestPanicHeldChunkJoins(t *testing.T) {
 		{"in-call", func(c *Context) { c.Call(boom) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tk := mustSubmit(t, rt, tc.fn, WithStats())
+			tk := mustSubmit(t, rt, tc.fn)
 			select {
 			case <-tk.Done():
 			case <-time.After(10 * time.Second):
@@ -433,7 +433,7 @@ func TestPanicStolenRangePiece(t *testing.T) {
 			thiefIn.Store(true)
 			panic("boom")
 		})
-	}, WithStats())
+	})
 	onePanic(t, tk.Wait())
 	snap := tr.Stop()
 	st := tk.Stats()

@@ -208,35 +208,27 @@ func (w *worker) recycleFrame(f *frame) {
 
 // sanRunQuiescence checks that a completed run actually quiesced: its live
 // frames are zero and every spawned task was either run or skipped. Every
-// frame retires, and every worker publishes its run mirror, before the join
+// frame retires, and every worker flushes its run mirror, before the join
 // that releases its parent (or the root's finish), so the counts are exact
 // once the run's done channel has closed.
 func (rt *Runtime) sanRunQuiescence(rs *runState) {
 	if !rt.sanChecks() {
 		return
 	}
-	s := rs.stats
-	if s == nil {
-		return
-	}
-	var live, spawns, run, skipped int64
-	for i := range s.cells {
-		c := &s.cells[i]
-		live += c.liveFrames.Load()
-		spawns += c.spawns.Load()
-		run += c.tasksRun.Load()
-		skipped += c.tasksSkipped.Load()
+	var t cellTotals
+	for i := range rs.cells {
+		t.add(rs.cells[i].load())
 	}
 	// A frame's +1 and −1 land in the same cell, so the sum is exact here.
-	if live != 0 {
-		rt.sanViolation("run %d: %d frames still live after completion", rs.id, live)
+	if t.liveFrames != 0 {
+		rt.sanViolation("run %d: %d frames still live after completion", rs.id, t.liveFrames)
 	}
 	// Loop pieces inflate tasksRun beyond spawns, so only the one-sided
 	// bound holds in general: every spawned task must have run or been
 	// skipped.
-	if run+skipped < spawns {
+	if t.tasksRun+t.tasksSkipped < t.spawns {
 		rt.sanViolation("run %d: spawns=%d but tasksRun+tasksSkipped=%d — a spawned task never joined",
-			rs.id, spawns, run+skipped)
+			rs.id, t.spawns, t.tasksRun+t.tasksSkipped)
 	}
 }
 
@@ -283,9 +275,8 @@ func (rt *Runtime) sanVerifyDrained() {
 // steal. A stall is this sum staying flat while work is outstanding.
 func (rt *Runtime) progressCount() int64 {
 	var n int64
-	for _, w := range rt.workers {
-		n += w.ws.tasksRun.Load() + w.ws.tasksSkipped.Load() +
-			w.ws.chunksPeeled.Load() + w.ws.spawns.Load() + w.ws.steals.Load()
+	for _, c := range rt.cellTotals() {
+		n += c.tasksRun + c.tasksSkipped + c.chunksPeeled + c.spawns + c.steals
 	}
 	return n
 }
@@ -390,15 +381,16 @@ func (rt *Runtime) dumpState() string {
 	sort.Slice(runs, func(i, j int) bool { return runs[i] < runs[j] })
 	fmt.Fprintf(&b, "  runtime: %d workers, %d parked, %d injected roots, %d active runs %v, closed=%v\n",
 		len(rt.workers), parked, inject, roots, runs, closed)
-	for _, w := range rt.workers {
+	cells := rt.cellTotals()
+	for i, w := range rt.workers {
 		st := w.state.Load()
 		name := "unknown"
 		if int(st) < len(stateNames) {
 			name = stateNames[st]
 		}
 		fmt.Fprintf(&b, "  worker %d: %s deque=%d tasksRun=%d steals=%d/%d failedSweeps=%d\n",
-			w.id, name, w.deque.Size(), w.ws.tasksRun.Load(),
-			w.ws.steals.Load(), w.ws.stealAttempts.Load(), w.ws.failedSweeps.Load())
+			w.id, name, w.deque.Size(), cells[i].tasksRun,
+			cells[i].steals, w.ws.stealAttempts.Load(), w.ws.failedSweeps.Load())
 	}
 	if s := rt.san; s != nil && s.inj.TotalFired() > 0 {
 		fmt.Fprintf(&b, "  faults injected: %d (%v)\n", s.inj.TotalFired(), s.inj.Plan())

@@ -77,7 +77,7 @@ func TestSanStealExactlyOnce(t *testing.T) {
 	want := fibSerial(18)
 	for i := 0; i < 5; i++ {
 		var got int64
-		tk := mustSubmit(t, rt, func(c *Context) { fibYield(c, 18, &got) }, WithStats())
+		tk := mustSubmit(t, rt, func(c *Context) { fibYield(c, 18, &got) })
 		stats, err := tk.Stats(), tk.Wait()
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
@@ -122,7 +122,7 @@ func TestSanStealFaultsFire(t *testing.T) {
 					awaitFlag(t, &done[i])
 				}
 				c.Sync()
-			}, WithStats())
+			})
 			st, err := tk.Stats(), tk.Wait()
 			if err != nil {
 				t.Fatal(err)
@@ -247,7 +247,7 @@ func TestSanWakeFaultSchedules(t *testing.T) {
 		opts, log := sanOpts(plan)
 		rt := New(WithWorkers(4), WithSanitize(opts))
 		var got int64
-		tk := mustSubmit(t, rt, func(c *Context) { fib(c, 16, &got) }, WithStats())
+		tk := mustSubmit(t, rt, func(c *Context) { fib(c, 16, &got) })
 		stats, err := tk.Stats(), tk.Wait()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -476,13 +476,13 @@ func TestSanInvariantDoubleJoin(t *testing.T) {
 
 // TestSanRunQuiescence: the per-run quiescence check passes on healthy
 // workloads of every flavour (spawn trees, loops, cancellation) — i.e. the
-// checker itself has no false positives under per-run (WithStats) accounting.
+// checker itself has no false positives.
 func TestSanRunQuiescence(t *testing.T) {
 	opts, log := sanOpts(schedsan.RandomPlan(7))
 	rt := New(WithWorkers(4), WithSanitize(opts))
 	defer rt.Shutdown()
 	var out int64
-	if err := mustSubmit(t, rt, func(c *Context) { fib(c, 15, &out) }, WithStats()).Wait(); err != nil {
+	if err := mustSubmit(t, rt, func(c *Context) { fib(c, 15, &out) }).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if err := mustSubmit(t, rt, func(c *Context) {
@@ -492,7 +492,7 @@ func TestSanRunQuiescence(t *testing.T) {
 				atomic.AddInt32(&counts[i], 1)
 			}
 		})
-	}, WithStats()).Wait(); err != nil {
+	}).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	log.empty(t)

@@ -161,6 +161,15 @@ type Runtime struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	active map[*runState]struct{}
+	// retired holds, per worker, the counts of every finished run: finish
+	// folds a run's cells in as it deletes the run from active. A serial
+	// runtime has one entry, for its runs' strand workers. Guarded by mu.
+	retired []cellTotals
+	// idle is closed when the last active run finishes, for the drainers
+	// waiting in ShutdownDrain; nil while no drainer waits. Guarded by mu.
+	// The drainers wait on it rather than on cond so that they cannot
+	// swallow a Signal meant for a parked worker.
+	idle   chan struct{}
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -193,6 +202,7 @@ func New(opts ...Option) *Runtime {
 		cfg.workers = 1
 	}
 	rt := &Runtime{cfg: cfg, active: make(map[*runState]struct{}), obsEpoch: time.Now()}
+	rt.retired = make([]cellTotals, cfg.workers)
 	rt.cond = sync.NewCond(&rt.mu)
 	rt.adm = newAdmission(cfg.admission)
 	if cfg.serial {
@@ -256,9 +266,6 @@ func (rt *Runtime) Tracer() *trace.Tracer { return rt.tracer }
 // their own.
 func (rt *Runtime) runSerial(root *task) {
 	w := rt.strands.Get().(*worker)
-	// The strand picks the root up: it charges the frame, as takeInjected
-	// does, before runTask's cancel gate can skip (and refund) it.
-	chargeFrameMem(root.frame.run, w, frameMemBytes)
 	h := rt.cfg.hooks
 	if h != nil {
 		h.FrameStart()
@@ -324,10 +331,10 @@ func (e *PanicError) Error() string {
 // worker's stack operates like a work queue").
 type worker struct {
 	// id and deque are what other workers read: thieves load a victim's id
-	// and deque on every probe. The fields up to hot are written rarely or
-	// never, and hot starts 64 bytes in; workerSlot keeps every worker
+	// and deque on every probe. The fields up to mr are written rarely or
+	// never, and mr starts 64 bytes in; workerSlot keeps every worker
 	// 64-aligned, so a thief's probes never share a cache line with the
-	// owner's per-spawn stores to hot, mr and frameFree.
+	// owner's per-spawn stores to mr and frameFree.
 	rt    *Runtime
 	id    int
 	deque *deque.Deque[task]
@@ -347,12 +354,10 @@ type worker struct {
 	// recorded only while the runtime carries an observer — a successful
 	// steal observes hunt-to-steal latency.
 	huntStart int64
-	// hot holds the spawn-path counters, private to the worker's goroutine;
-	// ws holds what other goroutines may read (see publish in stats.go).
-	hot hotStats
 	// mr mirrors the worker's cell of the run it is accounting for, and clk
 	// is its last clock read on an observed run, 0 once the worker may
 	// have idled since (obs.go). Both are private to the worker's goroutine.
+	// ws holds the worker's counters that belong to no run (stats.go).
 	mr  runMirror
 	clk int64
 	ws  workerStats
@@ -473,9 +478,6 @@ func (w *worker) takeInjected() *task {
 	rt.injected.Add(-1)
 	rs := t.frame.run
 	rt.rootPicked(rs)
-	// The picker charges the root frame, before runTask's cancel gate can
-	// skip it: a root skipped unrun refunds exactly what was charged here.
-	chargeFrameMem(rs, w, frameMemBytes)
 	w.rec.InjectPickup()
 	return t
 }
@@ -497,10 +499,10 @@ func (rt *Runtime) rootPicked(rs *runState) {
 func (w *worker) stealOnce() *task {
 	rt := w.rt
 	// A worker that goes looking for work has run dry or is waiting on a
-	// stolen child: the steal boundary is where its counts get published.
+	// stolen child: the steal boundary is where its counts get flushed.
 	// It may idle from here on — every sleep, yield and park follows a
 	// failed sweep — so its last clock read is no longer a resume point.
-	w.publish()
+	w.flushRun()
 	w.clk = 0
 	n := len(rt.workers)
 	if n <= 1 {
@@ -538,7 +540,6 @@ func (w *worker) stealFrom(victim *worker) *task {
 	if t == nil {
 		return nil
 	}
-	bump(&w.ws.steals)
 	if h := w.rt.obsH; h != nil && w.hunting {
 		// Hunt-to-steal latency: how long this worker went without work
 		// before the steal landed. Steals from syncWait (not hunting) are
@@ -549,9 +550,7 @@ func (w *worker) stealFrom(victim *worker) *task {
 	if t.loop != nil {
 		rf = t.loop.frame
 	}
-	if s := rf.run.stats; s != nil {
-		bump(&s.cells[w.id].steals)
-	}
+	bump(&rf.run.cells[w.id].steals)
 	w.rec.StealSuccess(int32(victim.id))
 	if t.loop != nil {
 		// A stolen range task splits immediately (see loop.go): the thief
@@ -623,7 +622,7 @@ func (rt *Runtime) stealableWork() bool {
 // no sleep.
 func (w *worker) park() bool {
 	rt := w.rt
-	w.publish() // a parked (or exiting) worker's published counts are final
+	w.flushRun() // a parked (or exiting) worker's counts are flushed
 	// Sanitizer: stretch the classic check-then-block window between the
 	// last failed sweep and registration as parked.
 	w.san.Delay(schedsan.PointPark)
@@ -682,6 +681,12 @@ func (w *worker) runTask(t *task) {
 	// cleanup left.
 	t.fn = nil
 	rs := f.run
+	if f.parent != nil {
+		// A spawned task was pushed, charged as a queued frame (Spawn); from
+		// here it runs, and counts as a live frame, or is skipped. A root is
+		// never charged: it counts once it runs.
+		w.chargeMem(rs, -frameMemBytes)
+	}
 	rs.checkBudget(w) // task start is a budget boundary, like the cancel gate below
 	if rs.cancelled() {
 		w.skipFrame(f)
@@ -689,11 +694,11 @@ func (w *worker) runTask(t *task) {
 	}
 	p, ord := f.parent, f.ordinal // runFrame recycles f
 	views := w.runFrame(f, fn, nil, rs.clock)
-	// runFrame retired the frame — settled its live gauges and refunded its
-	// memory — before the parent's join is signalled (or the root
-	// finishes): the decrement and the refund thereby happen-before the
-	// run's done channel closes, so a run's live-frame and live-byte sums
-	// are exactly zero by the time Ticket.Wait returns. The deposit, too,
+	// runFrame retired the frame — settled its live-frame gauge, which is
+	// also its memory — before the parent's join is signalled (or the root
+	// finishes): the decrement thereby happens-before the run's done
+	// channel closes, so a run's live-frame and live-byte sums are exactly
+	// zero by the time Ticket.Wait returns. The deposit, too,
 	// precedes the join that orders the parent's fold after it.
 	if p != nil {
 		if len(views) > 0 {
@@ -702,7 +707,7 @@ func (w *worker) runTask(t *task) {
 		w.joinChild(p)
 	} else {
 		finalizeViews(views)
-		w.publish()
+		w.flushRun()
 		rs.finish()
 		w.clk = 0 // RunEnd ran inside finish: no longer a resume point
 	}
@@ -720,21 +725,16 @@ func (w *worker) runTask(t *task) {
 func (w *worker) runFrame(f *frame, fn func(*Context), views viewMap, cl *runClock) (out viewMap) {
 	rs := f.run
 	root := f.parent == nil
+	m := w.acct(rs)
 	if !root {
-		w.hot.tasksRun++
+		m.c.tasksRun++
 	}
-	w.hot.frameStart(f.depth)
-	if rs.stats != nil {
-		m := w.acct(rs)
-		if !root {
-			m.c.tasksRun++
-		}
-		m.c.frameStart(f.depth)
-	}
-	if root {
+	m.frameStart(f.depth)
+	if root || rs.memBudget > 0 {
 		// A run may sit in its root for as long as it likes without spawning;
-		// the live-memory gauge admission consults must see its frame now.
-		w.publish()
+		// the live-memory gauge admission consults must see its frame now. A
+		// budgeted run writes every frame through (see chargeMem).
+		w.flushRun()
 	}
 	w.rec.TaskStart(f.depth, rs.id)
 
@@ -789,9 +789,9 @@ func (w *worker) endFrame(ctx *Context, cl *runClock, out *viewMap) {
 	// with its embedded task and Context; the strand's views outlive it
 	// (resetFrame drops only the header).
 	w.recycleFrame(f)
-	w.hot.liveFrames--
-	if rs.stats != nil {
-		w.acct(rs).c.liveFrames--
+	w.acct(rs).c.liveFrames--
+	if rs.memBudget > 0 {
+		w.flushRun() // write the retired frame through (see chargeMem)
 	}
 	w.rec.TaskEnd()
 }
@@ -814,15 +814,15 @@ func (w *worker) bindContext(f *frame) *Context {
 // strand is further up this goroutine's own stack, waiting in a sync or
 // still to reach one: the join is a plain increment that strand will read
 // in program order. Any other child — stolen, or picked up by an idle
-// worker — pays for the sharing here: it publishes the worker's
-// counts, so that they are visible to whoever observes the join, and
+// worker — pays for the sharing here: it flushes the worker's run
+// mirror, so that its counts are visible to whoever observes the join, and
 // decrements the atomic join word.
 func (w *worker) joinChild(p *frame) {
 	if p.ctx.w == w {
 		p.inline++
 		return
 	}
-	w.publish()
+	w.flushRun()
 	bump(&w.ws.offStrandJoins)
 	p.join.Add(-1)
 }
@@ -837,15 +837,15 @@ func (w *worker) joinChild(p *frame) {
 func (w *worker) skipFrame(f *frame) {
 	rs := f.run
 	w.countSkip(rs, f.depth)
-	// Recycle before signalling the join (or finishing the root) so the
-	// frame's memory refund happens-before the run's done channel closes —
-	// same ordering as runTask's completion path.
+	// Its queued-frame charge was refunded in runTask. Recycle before
+	// signalling the join (or finishing the root), as runTask's completion
+	// path does.
 	p := f.parent
 	w.recycleFrame(f)
 	if p != nil {
 		w.joinChild(p)
 	} else {
-		w.publish()
+		w.flushRun()
 		rs.finish()
 		w.clk = 0 // as on runTask's root path
 	}

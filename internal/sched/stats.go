@@ -2,43 +2,36 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
 )
 
-// workerStats are a worker's published counters: atomic cells that Stats,
-// Metrics and the watchdog read from any goroutine. The steal-path counters
-// are bumped in place; the spawn-path ones (the hotStats fields) are only
-// ever written by publish.
+// workerStats are the counters of a worker that belong to no run: steal
+// probes and failed sweeps (a probe that finds nothing has no run to
+// charge), the frame recycler's traffic and off-strand joins. They are
+// atomic cells the owning worker bumps in place and Stats, Metrics and the
+// watchdog read from any goroutine. Every other count belongs to a run: it
+// is counted in the run's cells (runCell) and reaches the runtime-wide
+// figures from there (Runtime.cellTotals).
 type workerStats struct {
-	hotCells
-	steals        atomic.Int64
 	stealAttempts atomic.Int64
 	failedSweeps  atomic.Int64
-	loopSplits    atomic.Int64
-	rangeSteals   atomic.Int64
 	poolRefills   atomic.Int64
 	poolSpills    atomic.Int64
 	// offStrandJoins counts children this worker completed off their
 	// parent's strand (see joinChild) — the joins that pay for an atomic.
 	// Not part of Stats; tests read it to show un-stolen spawns pay nothing.
 	offStrandJoins atomic.Int64
-	// memLive is the worker's net Context.Charge balance across all runs,
-	// armed or not — together with liveFrames it feeds the runtime-wide
-	// live-memory gauge (Runtime.MemLiveBytes) the admission watermarks
-	// consult. Like the per-run cells, refunds may land on a different
-	// worker than their charge, so a single worker's value can go negative.
-	memLive atomic.Int64
 }
 
 // hotStats are the counters a spawn, a task or a chunk touches: plain fields
-// only the owning worker reads or writes, mirrored into the hotCells of the
-// same names by publish. An atomic Store is an XCHG on amd64 — as costly as
-// a LOCK'd add — so counting in the published cells directly made every one
-// of these increments a locked instruction on the spawn path. The worker
-// keeps two sets: its own (worker.hot, published into workerStats) and one
-// for the run it is currently accounting for (runMirror).
+// of the worker's run mirror (runMirror), which only the owning worker reads
+// or writes, stored into the runCell fields of the same names by flushRun. An
+// atomic Store is an XCHG on amd64 — as costly as a LOCK'd add — so counting
+// in the cells directly would make every one of these increments a locked
+// instruction on the spawn path.
 type hotStats struct {
 	spawns        int64
 	pushes        int64
@@ -50,23 +43,35 @@ type hotStats struct {
 	maxDepth      int64
 }
 
-// hotCells are the published cells of the hotStats counters, embedded in
-// both workerStats and runCell. Only publish and the run mirror's flush
-// store to them.
-type hotCells struct {
-	spawns        atomic.Int64
-	pushes        atomic.Int64
-	tasksRun      atomic.Int64
-	tasksSkipped  atomic.Int64
-	chunksPeeled  atomic.Int64
-	liveFrames    atomic.Int64
-	maxLiveFrames atomic.Int64
-	maxDepth      atomic.Int64
+// runCell is one worker's shard of a run's counters — the only place the
+// runtime counts spawns, tasks, chunks, live frames, steals, splits and live
+// bytes; the runtime-wide figures are folded from the cells (finish,
+// Runtime.cellTotals). Each cell is written only by the worker whose id
+// indexes it (a serial run's strand worker has id 0), and because cells of
+// different workers sit on different cache lines (the pad below), there is
+// no shared cacheline traffic. Readers sum the counters and max the gauges
+// across cells; the atomics make those cross-thread reads well-defined.
+type runCell struct {
+	// The hotStats counters, counted in the worker's run mirror and stored
+	// here only when the worker flushes or switches runs (storeHot).
+	spawns, pushes, tasksRun, tasksSkipped, chunksPeeled atomic.Int64
+	liveFrames, maxLiveFrames, maxDepth                  atomic.Int64
+	// The steal-path counters, bumped in place.
+	steals, loopSplits, rangeSteals atomic.Int64
+	// memLive is the run's byte balance charged by this cell's worker (see
+	// memory.go): queued and called frames and Context.Charge
+	// declarations, counted in the run mirror and written through on a
+	// budgeted run. Refunds may land in a different cell than their
+	// charge, so memLive can go negative; only the cross-cell sum means
+	// anything. memPeak is the watermark of memLive plus the cell's live
+	// frames' bytes.
+	memLive, memPeak atomic.Int64
+	_                [24]byte // pad 13×8 B of counters to two 64 B cache lines
 }
 
-// store mirrors h into the cells. Cells already current are not stored to,
-// so a hunting worker's repeated publishes are loads only.
-func (c *hotCells) store(h *hotStats) {
+// storeHot mirrors h into the cell. Cells already current are not stored
+// to, so a hunting worker's repeated flushes are loads only.
+func (c *runCell) storeHot(h *hotStats) {
 	publishTo(&c.spawns, h.spawns)
 	publishTo(&c.pushes, h.pushes)
 	publishTo(&c.tasksRun, h.tasksRun)
@@ -77,36 +82,93 @@ func (c *hotCells) store(h *hotStats) {
 	publishTo(&c.maxDepth, h.maxDepth)
 }
 
-// load reads the cells back into a plain mirror.
-func (c *hotCells) load() hotStats {
-	return hotStats{
-		spawns:        c.spawns.Load(),
-		pushes:        c.pushes.Load(),
-		tasksRun:      c.tasksRun.Load(),
-		tasksSkipped:  c.tasksSkipped.Load(),
-		chunksPeeled:  c.chunksPeeled.Load(),
-		liveFrames:    c.liveFrames.Load(),
-		maxLiveFrames: c.maxLiveFrames.Load(),
-		maxDepth:      c.maxDepth.Load(),
+// cellTotals is a runCell's counts in plain fields: one cell read back
+// (runCell.load), or one worker's cells summed over runs (Runtime.retired,
+// Runtime.cellTotals).
+type cellTotals struct {
+	hotStats
+	steals      int64
+	loopSplits  int64
+	rangeSteals int64
+	memLive     int64
+	memPeak     int64
+}
+
+// load reads the cell back into plain fields.
+func (c *runCell) load() cellTotals {
+	return cellTotals{
+		hotStats: hotStats{
+			spawns:        c.spawns.Load(),
+			pushes:        c.pushes.Load(),
+			tasksRun:      c.tasksRun.Load(),
+			tasksSkipped:  c.tasksSkipped.Load(),
+			chunksPeeled:  c.chunksPeeled.Load(),
+			liveFrames:    c.liveFrames.Load(),
+			maxLiveFrames: c.maxLiveFrames.Load(),
+			maxDepth:      c.maxDepth.Load(),
+		},
+		steals:      c.steals.Load(),
+		loopSplits:  c.loopSplits.Load(),
+		rangeSteals: c.rangeSteals.Load(),
+		memLive:     c.memLive.Load(),
+		memPeak:     c.memPeak.Load(),
 	}
+}
+
+// add folds o into t: the counts and the two live gauges are summed, the
+// watermarks maxed.
+func (t *cellTotals) add(o cellTotals) {
+	t.spawns += o.spawns
+	t.pushes += o.pushes
+	t.tasksRun += o.tasksRun
+	t.tasksSkipped += o.tasksSkipped
+	t.chunksPeeled += o.chunksPeeled
+	t.liveFrames += o.liveFrames
+	t.maxLiveFrames = max(t.maxLiveFrames, o.maxLiveFrames)
+	t.maxDepth = max(t.maxDepth, o.maxDepth)
+	t.steals += o.steals
+	t.loopSplits += o.loopSplits
+	t.rangeSteals += o.rangeSteals
+	t.memLive += o.memLive
+	t.memPeak = max(t.memPeak, o.memPeak)
+}
+
+// liveBytes is the cell's share of its run's live memory (see memory.go):
+// its running frames plus its charged bytes.
+func (t *cellTotals) liveBytes() int64 {
+	return t.memLive + t.liveFrames*frameMemBytes
+}
+
+// cellTotals returns every worker's counts over all runs, one entry per
+// cell index: the retired totals of the finished runs plus the cells of the
+// active ones. finish moves a run from one to the other under mu, which is
+// held here too, so every run is counted exactly once.
+func (rt *Runtime) cellTotals() []cellTotals {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	out := slices.Clone(rt.retired)
+	for rs := range rt.active {
+		for i := range rs.cells {
+			out[i].add(rs.cells[i].load())
+		}
+	}
+	return out
 }
 
 // runMirror is the worker's plain copy of its own cell of the one run it is
 // currently accounting for, plus the work that run's strands have charged
-// on this worker since the last flush: hotStats' discipline applied to the
-// per-run accounting. Each runCell has one writer — this worker — so the
-// mirror can start from the cell's current values when the worker switches
-// runs. The mirror is flushed into the cell (and the work into the run's
-// clock) by publish and on a run switch, so the per-run counts and work are
-// exact by the time Ticket.Wait returns, by the same induction as publish's.
+// on this worker since the last flush. Each runCell has one writer — this
+// worker — so the mirror can start from the cell's current values when the
+// worker switches runs. The mirror is flushed into the cell (and the work
+// into the run's clock) by flushRun and on a run switch.
 type runMirror struct {
-	// rs is the run mirrored; nil before the worker's first accounted run.
-	// It stays set after that run ends, until the next switch: a worker
-	// keeps at most one finished runState alive.
+	// rs is the run mirrored; nil before the worker's first run. It stays
+	// set after that run ends, until the next switch: a worker keeps at most
+	// one finished runState alive.
 	rs *runState
 	c  hotStats
-	// memLive/memPeak mirror the cell's memory shard on unbudgeted runs only;
-	// a budgeted run writes through (see chargeMem in memory.go).
+	// memLive/memPeak mirror the cell's memory shard (see chargeMem in
+	// memory.go).
 	memLive int64
 	memPeak int64
 	// work is the observed run's strand time charged on this worker and not
@@ -115,8 +177,7 @@ type runMirror struct {
 }
 
 // acct returns the worker's mirror of rs's cell, switching the mirror to rs
-// first if it holds another run. rs must carry stats, as every observed run
-// does.
+// first if it holds another run.
 func (w *worker) acct(rs *runState) *runMirror {
 	if w.mr.rs != rs {
 		w.switchRun(rs)
@@ -125,55 +186,46 @@ func (w *worker) acct(rs *runState) *runMirror {
 }
 
 // switchRun flushes the mirror and reloads it from rs's cell. Every switch
-// the scheduler makes follows a publish — a task that ends off its
-// parent's strand, a root's finish, a steal sweep — so the flush finds
-// nothing pending; it keeps the accounting exact should a path ever switch
-// without one.
+// the scheduler makes follows a flush — a task that ends off its parent's
+// strand, a root's finish, a steal sweep — so the flush finds nothing
+// pending; it keeps the accounting exact should a path ever switch without
+// one.
 func (w *worker) switchRun(rs *runState) {
 	w.flushRun() // leaves work at 0
-	cell := &rs.stats.cells[w.id]
+	t := rs.cells[w.id].load()
 	m := &w.mr
 	m.rs = rs
-	m.c = cell.hotCells.load()
-	m.memLive, m.memPeak = cell.memLive.Load(), cell.memPeak.Load()
+	m.c = t.hotStats
+	m.memLive, m.memPeak = t.memLive, t.memPeak
 }
 
-// flushRun publishes the mirror into its run's cell and adds the pending
-// work to the run's clock with a single atomic add.
+// publishEvery bounds how stale the cells of a worker that neither steals
+// nor joins off-strand can get: it flushes at every publishEvery-th spawn
+// and chunk of a run.
+const publishEvery = 1024
+
+// flushRun stores the mirror into its run's cell and adds the pending work
+// to the run's clock with a single atomic add. Called by the worker itself
+// wherever its work becomes visible to another goroutine — before an
+// off-strand join, before a root's finish, before a steal sweep and before
+// parking — and every publishEvery spawns or chunks. So when a run finishes
+// its cells are exact: by induction over the spawn tree, a task's counts
+// are flushed either by its own off-strand join or, if it joined on its
+// parent's strand, by whatever flushes the parent's.
 func (w *worker) flushRun() {
 	m := &w.mr
 	rs := m.rs
 	if rs == nil {
 		return
 	}
-	cell := &rs.stats.cells[w.id]
-	cell.hotCells.store(&m.c)
-	if rs.memBudget == 0 {
-		publishTo(&cell.memLive, m.memLive)
-		publishTo(&cell.memPeak, m.memPeak)
-	}
+	cell := &rs.cells[w.id]
+	cell.storeHot(&m.c)
+	publishTo(&cell.memLive, m.memLive)
+	publishTo(&cell.memPeak, m.memPeak)
 	if m.work != 0 {
 		rs.clock.work.Add(m.work)
 		m.work = 0
 	}
-}
-
-// publishEvery bounds how stale the published counters of a worker that
-// neither steals nor joins off-strand can get: it publishes at every
-// publishEvery-th spawn and chunk.
-const publishEvery = 1024
-
-// publish mirrors the worker's hotStats into its workerStats cells and
-// flushes its run mirror. Called by the worker itself wherever its work
-// becomes visible to another goroutine — before an off-strand join, before
-// a root's finish, before a steal sweep and before parking — and every
-// publishEvery spawns or chunks. So when Ticket.Wait returns the run's
-// counts and work are exact: by induction over the spawn tree, a task's
-// counts are published either by its own off-strand join or, if it joined
-// on its parent's strand, by whatever publishes the parent's.
-func (w *worker) publish() {
-	w.ws.hotCells.store(&w.hot)
-	w.flushRun()
 }
 
 func publishTo(c *atomic.Int64, v int64) {
@@ -182,15 +234,14 @@ func publishTo(c *atomic.Int64, v int64) {
 	}
 }
 
-// frameStart counts a frame going live on this worker at spawn depth depth.
-func (h *hotStats) frameStart(depth int32) {
+// frameStart counts a frame going live on this worker at spawn depth depth,
+// and raises the live-byte watermark the frame may have lifted.
+func (m *runMirror) frameStart(depth int32) {
+	h := &m.c
 	h.liveFrames++
-	if h.liveFrames > h.maxLiveFrames {
-		h.maxLiveFrames = h.liveFrames
-	}
-	if d := int64(depth); d > h.maxDepth {
-		h.maxDepth = d
-	}
+	h.maxLiveFrames = max(h.maxLiveFrames, h.liveFrames)
+	h.maxDepth = max(h.maxDepth, int64(depth))
+	m.raisePeak()
 }
 
 // bump adds 1 to a single-writer atomic counter with a load and a store
@@ -203,24 +254,11 @@ func bump(c *atomic.Int64) {
 	c.Store(c.Load() + 1)
 }
 
-// bumpN is bump for increments larger than one.
-func bumpN(c *atomic.Int64, n int64) {
-	c.Store(c.Load() + n)
-}
-
-// maxOwn raises the single-writer max-gauge m to v — bump's analogue of
-// maxStore, with the same single-writer contract.
-func maxOwn(m *atomic.Int64, v int64) {
-	if v > m.Load() {
-		m.Store(v)
-	}
-}
-
 // maxStore raises the max-gauge m to v. The CAS loop makes it correct under
 // concurrent writers: the span gauges (frame.spanChild) are deposited by
 // whichever workers complete the frame's children, so a plain
-// load-then-store could regress the gauge when two workers race. Counters
-// with a single writing goroutine use maxOwn instead.
+// load-then-store could regress the gauge when two workers race. The
+// single-writer watermarks are raised in the worker's run mirror instead.
 func maxStore(m *atomic.Int64, v int64) {
 	for {
 		old := m.Load()
@@ -262,9 +300,11 @@ type Stats struct {
 	// panic, or ShutdownDrain). Spawns = TasksRun + TasksSkipped at
 	// quiescence.
 	TasksSkipped int64
-	// MaxLiveFrames is the maximum, over workers, of simultaneously live
-	// frames on one worker — the runtime's analogue of per-worker stack
-	// depth in the §3.1 space discussion.
+	// MaxLiveFrames is the maximum, over workers, of one run's
+	// simultaneously live frames on one worker — the runtime's analogue of
+	// per-worker stack depth in the §3.1 space discussion. In the
+	// runtime-wide Stats() it is the maximum over runs of those per-worker
+	// peaks: frames of concurrent runs live on one worker are not added up.
 	MaxLiveFrames int64
 	// MaxDepth is the deepest spawn depth observed.
 	MaxDepth int64
@@ -298,9 +338,10 @@ type Stats struct {
 	// MemLiveBytes is read at quiescence, so it is the run's unrefunded
 	// Charge balance — 0 for a balanced program — and MemPeakBytes is the
 	// peak the admission EWMA feeds on. In the runtime-wide Stats(),
-	// MemLiveBytes is the instantaneous cross-run gauge and MemPeakBytes is
-	// zero (peaks are a per-run notion). Both are watermark/gauge-like:
-	// Sub keeps the newer snapshot's values.
+	// MemLiveBytes is the instantaneous cross-run gauge
+	// (Runtime.MemLiveBytes) and MemPeakBytes is zero (peaks are a per-run
+	// notion). Both are watermark/gauge-like: Sub keeps the newer snapshot's
+	// values.
 	MemLiveBytes int64
 	MemPeakBytes int64
 	// Work and Span are the run's online work (T1) and span (T∞), measured
@@ -313,38 +354,44 @@ type Stats struct {
 	Span time.Duration
 }
 
-// Stats aggregates the per-worker counters. A computation's counts are all
-// included once its Ticket.Wait has returned; while it is in flight
-// each worker's spawn, task, chunk and live-frame counts may trail by up to
-// 1024 spawns or chunks (see publish).
-func (rt *Runtime) Stats() Stats {
+// Stats sums the counters of every run the runtime has executed, finished
+// or in flight, plus the workers' own steal-probe and recycler counters. A
+// computation's counts are all included once its Ticket.Wait has returned;
+// while it is in flight each worker's spawn, task, chunk and live-frame
+// counts for it may trail by up to 1024 spawns or chunks (see flushRun).
+func (rt *Runtime) Stats() Stats { return rt.statsOf(rt.cellTotals()) }
+
+// statsOf folds the per-worker totals cells into the runtime-wide Stats.
+func (rt *Runtime) statsOf(cells []cellTotals) Stats {
 	var s Stats
+	for i := range cells {
+		s.addCell(&cells[i])
+	}
 	for _, w := range rt.workers {
-		s.addHot(w.ws.hotCells.load())
-		s.Steals += w.ws.steals.Load()
 		s.StealAttempts += w.ws.stealAttempts.Load()
 		s.FailedSweeps += w.ws.failedSweeps.Load()
-		s.LoopSplits += w.ws.loopSplits.Load()
-		s.RangeSteals += w.ws.rangeSteals.Load()
 		s.PoolRefills += w.ws.poolRefills.Load()
 		s.PoolSpills += w.ws.poolSpills.Load()
 	}
 	s.Stalls = rt.stalls.Load()
-	s.MemLiveBytes = rt.MemLiveBytes()
 	return s
 }
 
-// addHot folds one cell set of the hot counters into s: the counts are
-// summed and the two gauges maxed, across workers (Stats) or across a run's
-// cells (runState.snapshot).
-func (s *Stats) addHot(h hotStats) {
-	s.Spawns += h.spawns
-	s.Pushed += h.pushes
-	s.TasksRun += h.tasksRun
-	s.TasksSkipped += h.tasksSkipped
-	s.ChunksPeeled += h.chunksPeeled
-	s.MaxLiveFrames = max(s.MaxLiveFrames, h.maxLiveFrames)
-	s.MaxDepth = max(s.MaxDepth, h.maxDepth)
+// addCell folds one cell's counts into s: the counts and the live bytes are
+// summed and the two frame gauges maxed, across a run's cells
+// (runState.snapshot) or across workers (statsOf).
+func (s *Stats) addCell(c *cellTotals) {
+	s.Spawns += c.spawns
+	s.Pushed += c.pushes
+	s.TasksRun += c.tasksRun
+	s.TasksSkipped += c.tasksSkipped
+	s.ChunksPeeled += c.chunksPeeled
+	s.MaxLiveFrames = max(s.MaxLiveFrames, c.maxLiveFrames)
+	s.MaxDepth = max(s.MaxDepth, c.maxDepth)
+	s.Steals += c.steals
+	s.LoopSplits += c.loopSplits
+	s.RangeSteals += c.rangeSteals
+	s.MemLiveBytes += c.liveBytes()
 }
 
 // Sub returns the counter deltas s − prev, for snapshot-style accounting
@@ -378,7 +425,8 @@ func (s Stats) Sub(prev Stats) Stats {
 // per-worker spawn/steal/task breakdowns, worker count, and whether the
 // tracer is currently recording.
 func (rt *Runtime) Metrics() map[string]int64 {
-	s := rt.Stats()
+	cells := rt.cellTotals()
+	s := rt.statsOf(cells)
 	m := map[string]int64{
 		"workers":        int64(rt.cfg.workers),
 		"spawns":         s.Spawns,
@@ -434,14 +482,18 @@ func (rt *Runtime) Metrics() map[string]int64 {
 		san.mu.Unlock()
 		m["san_faults_injected"] = san.inj.TotalFired()
 	}
-	for i, w := range rt.workers {
+	for i, c := range cells {
 		p := fmt.Sprintf("worker.%d.", i)
-		m[p+"spawns"] = w.ws.spawns.Load()
-		m[p+"steals"] = w.ws.steals.Load()
-		m[p+"steal_attempts"] = w.ws.stealAttempts.Load()
-		m[p+"failed_sweeps"] = w.ws.failedSweeps.Load()
-		m[p+"tasks_run"] = w.ws.tasksRun.Load()
-		m[p+"max_live_frames"] = w.ws.maxLiveFrames.Load()
+		m[p+"spawns"] = c.spawns
+		m[p+"steals"] = c.steals
+		m[p+"tasks_run"] = c.tasksRun
+		m[p+"max_live_frames"] = c.maxLiveFrames
+		// A serial runtime's one cell is its runs' strand worker, which
+		// probes no victims.
+		if i < len(rt.workers) {
+			m[p+"steal_attempts"] = rt.workers[i].ws.stealAttempts.Load()
+			m[p+"failed_sweeps"] = rt.workers[i].ws.failedSweeps.Load()
+		}
 	}
 	if rt.tracer != nil {
 		m["trace_enabled"] = 0

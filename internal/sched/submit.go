@@ -1,8 +1,8 @@
 package sched
 
 // This file is the canonical submission API: Submit hands the runtime a root
-// computation plus per-run options (stats, QoS class, priority, tenant
-// label, time/memory budget) and returns a *Ticket the caller awaits. It is
+// computation plus per-run options (QoS class, priority, tenant label,
+// time/memory budget) and returns a *Ticket the caller awaits. It is
 // the runtime's one entry point.
 //
 // Submission-time failures — a canceled context, a shut-down runtime, an
@@ -46,7 +46,6 @@ var (
 
 // submitCfg collects the per-run options of one Submit call.
 type submitCfg struct {
-	track      bool
 	qos        QoSClass
 	tenant     string
 	priority   int
@@ -57,13 +56,12 @@ type submitCfg struct {
 // RunOption configures one Submit call.
 type RunOption func(*submitCfg)
 
-// WithStats arms per-computation accounting: the Ticket's Stats covers
-// exactly this computation — its spawns, tasks, steals of its tasks — so
-// concurrent submissions sharing the workers can be told apart. Costs a few
-// per-run atomic increments; without it (and without a RunObserver) the
-// Ticket's Stats is zero.
+// WithStats does nothing: every run counts in cells of its own, so every
+// Ticket's Stats covers exactly its computation.
+//
+// Deprecated: per-run accounting is always on; drop the option.
 func WithStats() RunOption {
-	return func(sc *submitCfg) { sc.track = true }
+	return func(*submitCfg) {}
 }
 
 // WithQoS assigns the run's quality-of-service class (default QoSBatch),
@@ -109,8 +107,7 @@ func WithTimeBudget(d time.Duration) RunOption {
 // declarations — at every spawn, task-start, and chunk boundary, and a run
 // that exceeds the budget is cooperatively cancelled with ErrMemoryBudget
 // (skip-but-join: running strands finish their grain, pending work is
-// abandoned but still joins). A budget implies per-run accounting, as if
-// WithStats were also given; Ticket.Stats().MemPeakBytes reports the
+// abandoned but still joins). Ticket.Stats().MemPeakBytes reports the
 // measured high-water mark (Cilkmem's "don't admit work you can't bound"
 // posture, now measured rather than honor-system).
 func WithMemoryBudget(bytes int64) RunOption {
@@ -156,8 +153,9 @@ func (tk *Ticket) Err() error {
 }
 
 // Stats blocks until the computation completes and returns its per-run
-// Stats snapshot. Zero unless the run was submitted WithStats or the
-// runtime carries a RunObserver.
+// Stats snapshot: this computation's spawns, tasks, steals of its tasks and
+// memory, told apart from the concurrent runs sharing the workers. Work and
+// Span are zero unless the runtime carries a RunObserver.
 func (tk *Ticket) Stats() Stats {
 	<-tk.rs.done
 	tk.settle()
@@ -235,20 +233,16 @@ func (rt *Runtime) submit(ctx context.Context, fn func(*Context), sc submitCfg) 
 	if err != nil {
 		return nil, err
 	}
+	// One counter cell per worker keeps the run's counts uncontended; the
+	// cells are summed on snapshot reads and folded into the runtime's
+	// totals at finish.
 	rs := &runState{
 		id: rt.runIDs.Add(1), rt: rt, done: make(chan struct{}),
+		cells:  make([]runCell, rt.cfg.workers),
 		tenant: sc.tenant, qos: sc.qos, prio: sc.priority, memEst: sc.memory,
 		memAdm: charged, memBudget: sc.memory,
 	}
 	obs := rt.cfg.observer
-	if sc.track || obs != nil || sc.memory > 0 {
-		// Observation implies per-run accounting: the observer's report
-		// carries the run's Stats (spawns, steals, …) alongside work/span.
-		// One cell per worker keeps the hot counters uncontended; the cells
-		// are summed at quiescence and on snapshot reads. A memory budget
-		// implies accounting too — enforcement needs the live-byte shards.
-		rs.stats = newRunCounters(len(rt.workers))
-	}
 	if obs != nil {
 		rs.clock = &runClock{}
 		rs.start = time.Now()
@@ -415,7 +409,7 @@ type tenantState struct {
 	// peaks (Stats.MemPeakBytes), fed at release with gain 1/8. Above the
 	// soft watermark admission charges max(declared, memEWMA), so a tenant
 	// whose runs routinely outgrow their declarations pays its measured
-	// footprint. Zero until the tenant's first accounted run completes.
+	// footprint. Zero until the tenant's first run completes.
 	memEWMA int64
 }
 
@@ -512,12 +506,9 @@ func (a *admission) picked(rs *runState) {
 // admit charged — and happens exactly once per run (release is
 // guarded by releaseOnce), so a root cancelled before pickup and a run that
 // ends in a quarantined panic both refund their memory exactly once. The
-// run's measured peak, when accounting was armed, feeds the tenant's EWMA.
+// run's measured peak feeds the tenant's EWMA.
 func (a *admission) release(rs *runState) {
-	var sample int64
-	if rs.stats != nil {
-		sample = rs.memPeakBytes() // reads atomics; taken outside a.mu
-	}
+	sample := rs.memPeakBytes() // reads atomics; taken outside a.mu
 	a.mu.Lock()
 	if rs.picked {
 		a.running--
@@ -555,7 +546,7 @@ type TenantLoad struct {
 	Queued, Running int
 	Memory          int64
 	// MemEWMA is the tenant's exponentially weighted mean of measured run
-	// peaks (zero until an accounted run completes) — the footprint
+	// peaks (zero until a run completes) — the footprint
 	// admission charges instead of the declaration under memory pressure.
 	MemEWMA int64
 	// Admitted and Rejected are cumulative submission counts. Idle tenants

@@ -101,7 +101,7 @@ func TestSubmitSentinels(t *testing.T) {
 func TestSubmitSerialElision(t *testing.T) {
 	rt := New(WithSerialElision())
 	var got int64
-	tk, err := rt.Submit(context.Background(), func(c *Context) { fib(c, 15, &got) }, WithStats())
+	tk, err := rt.Submit(context.Background(), func(c *Context) { fib(c, 15, &got) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestSerialElisionConcurrentSubmits(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < runs; i++ {
 				var got int64
-				tk, err := rt.Submit(context.Background(), func(c *Context) { fib(c, n, &got) }, WithStats())
+				tk, err := rt.Submit(context.Background(), func(c *Context) { fib(c, n, &got) })
 				if err != nil {
 					errs <- err
 					continue

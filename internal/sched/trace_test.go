@@ -197,7 +197,7 @@ func TestRunWithStatsExactCounts(t *testing.T) {
 	rt := New(WithWorkers(4))
 	defer rt.Shutdown()
 	var got int64
-	tk := mustSubmit(t, rt, func(c *Context) { fib(c, n, &got) }, WithStats())
+	tk := mustSubmit(t, rt, func(c *Context) { fib(c, n, &got) })
 	s, err := tk.Stats(), tk.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestRunWithStatsConcurrentRunsToldApart(t *testing.T) {
 	stats := make([]Stats, len(sizes))
 	var tks []*Ticket
 	for i, n := range sizes {
-		tks = append(tks, mustSubmit(t, rt, func(c *Context) { fib(c, n, &got[i]) }, WithStats()))
+		tks = append(tks, mustSubmit(t, rt, func(c *Context) { fib(c, n, &got[i]) }))
 	}
 	for i, tk := range tks {
 		if err := tk.Wait(); err != nil {
@@ -254,7 +254,7 @@ func TestRunWithStatsSerialElision(t *testing.T) {
 	const n = 12
 	rt := New(WithSerialElision())
 	var got int64
-	tk := mustSubmit(t, rt, func(c *Context) { fib(c, n, &got) }, WithStats())
+	tk := mustSubmit(t, rt, func(c *Context) { fib(c, n, &got) })
 	s, err := tk.Stats(), tk.Wait()
 	if err != nil {
 		t.Fatal(err)

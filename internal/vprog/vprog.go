@@ -36,9 +36,11 @@ const (
 	// Critical executes Cost units while holding the machine's single
 	// global mutex (§5's contended output-list lock): the simulator
 	// serializes all Critical segments machine-wide and charges a handoff
-	// penalty when the lock migrates between processors. Analysis treats
-	// it as plain Exec, since the dag model has no locks — which is
-	// precisely why a lock-bound program misses its dag-model speedup.
+	// penalty when the lock migrates between processors. The dag has no
+	// locks, so Analyze counts it as plain Exec in Work and Span — which is
+	// precisely why a lock-bound program misses its dag-model speedup — and
+	// reports the total separately (Metrics.Critical), a second lower bound
+	// on any schedule's running time that Parallelism takes into account.
 	Critical
 )
 
@@ -107,12 +109,18 @@ func Leaf(cost int64) Frame {
 
 // Metrics summarizes the dag-model measures of a virtual program.
 type Metrics struct {
-	Work        int64   // T1
-	Span        int64   // T∞
-	Parallelism float64 // T1/T∞
-	Frames      int64   // procedure activations, including the root
-	Spawns      int64   // spawned activations
-	MaxDepth    int64   // deepest activation (serial stack depth, S1 ∝ this)
+	Work int64 // T1
+	Span int64 // T∞ of the dag
+	// Critical is the total cost of the Critical segments. They all hold
+	// the one lock, so no schedule finishes sooner than Critical, however
+	// short the dag's span.
+	Critical int64
+	// Parallelism is T1 / max(T∞, Critical): the speedup ceiling, lock
+	// included.
+	Parallelism float64
+	Frames      int64 // procedure activations, including the root
+	Spawns      int64 // spawned activations
+	MaxDepth    int64 // deepest activation (serial stack depth, S1 ∝ this)
 }
 
 // Analyze computes work and span directly from the program structure by the
@@ -141,8 +149,8 @@ func AnalyzeBurdened(p Program, burden int64) Metrics {
 	span := analyzeFrame(p.Root(), 1, &m, burden)
 	m.Frames++ // the root
 	m.Span = span
-	if m.Span > 0 {
-		m.Parallelism = float64(m.Work) / float64(m.Span)
+	if bound := max(m.Span, m.Critical); bound > 0 {
+		m.Parallelism = float64(m.Work) / float64(bound)
 	}
 	if m.MaxDepth == 0 {
 		m.MaxDepth = 1
@@ -164,6 +172,9 @@ func analyzeFrame(f Frame, depth int64, m *Metrics, burden int64) (span int64) {
 			}
 			m.Work += st.Cost
 			strand += st.Cost
+			if st.Kind == Critical {
+				m.Critical += st.Cost
+			}
 		case Spawn:
 			m.Frames++
 			m.Spawns++

@@ -15,6 +15,23 @@ func TestLeafMetrics(t *testing.T) {
 	}
 }
 
+// TestCriticalBoundsParallelism: two spawned Critical(100) segments are
+// parallel in the dag, whose span stays 100, but they hold the one lock in
+// turn, so no schedule finishes in under 200 units: parallelism 1.
+func TestCriticalBoundsParallelism(t *testing.T) {
+	crit := func() Frame { return Seq(Step{Kind: Critical, Cost: 100}) }
+	p := Program{Name: "two-critical", Root: func() Frame {
+		return Seq(Step{Kind: Spawn, Child: crit()}, Step{Kind: Spawn, Child: crit()}, Step{Kind: Sync})
+	}}
+	m := Analyze(p)
+	if m.Work != 200 || m.Span != 100 || m.Critical != 200 {
+		t.Fatalf("Work/Span/Critical = %d/%d/%d, want 200/100/200", m.Work, m.Span, m.Critical)
+	}
+	if m.Parallelism != 1 {
+		t.Fatalf("Parallelism = %v, want 1", m.Parallelism)
+	}
+}
+
 func TestSpawnSpanRecurrence(t *testing.T) {
 	// exec 2; spawn leaf(10); exec 3; sync; exec 1.
 	// Work = 16. Span = 2 + max(10, 3) + 1 = 13.
